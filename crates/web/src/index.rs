@@ -141,12 +141,49 @@ impl TermLists for SearchEngine {
     }
 }
 
+/// Looks `page` up in the page-ascending `list`, galloping forward from
+/// `*from` (every earlier entry is known to hold a smaller page), and
+/// leaves `*from` at the first entry whose page is not below `page`.
+#[inline]
+fn gallop(list: &[(u32, u32)], from: &mut usize, page: u32) -> Option<u32> {
+    let tail = &list[*from..];
+    let mut end = 1;
+    while end < tail.len() && tail[end - 1].0 < page {
+        end *= 2;
+    }
+    let lo = end / 2;
+    *from += lo + tail[lo..end.min(tail.len())].partition_point(|&(p, _)| p < page);
+    match list.get(*from) {
+        Some(&(p, tf)) if p == page => Some(tf),
+        _ => None,
+    }
+}
+
 /// The early-exit top-`limit` scan over one set of term lists — the body
-/// of [`SearchEngine::search_topk_with`], extracted so a shard's lists can
-/// be scanned by the exact same code. Exactness does not depend on which
-/// lists are supplied: every page first seen gets its full score in
-/// `resolved` (query) term order, and the bound argument documented on
-/// `search_topk_with` holds for any scan order.
+/// of [`SearchEngine::search_topk_with`], shared with the shard scans so
+/// every path runs the exact same code.
+///
+/// Exact under the `(score desc, page asc)` hit order, for any set of
+/// lists and any scan order:
+///
+/// * A page is scored in full the moment it is first seen, accumulating
+///   in query-term order — the exhaustive path's addition sequence.
+/// * Call a page's *first list* the first list in scan order holding it.
+///   While scanning list `i` from a posting onward, every unseen page
+///   whose first list is `i` scores at most `ub`: the sum, in query-term
+///   order with one addend per query occurrence, of the current
+///   posting's contribution for list `i`, the contribution-order head of
+///   each list after `i`, and nothing for each list before `i`. Each
+///   addend bounds the page's own addend at that position and rounded
+///   addition is monotone, so `ub ≥ score` holds exactly, not merely up
+///   to rounding.
+/// * Scanning list `i` stops once no such page can beat the current
+///   `limit`-th hit `(kth_score, kth_page)`: when `ub < kth_score`, or
+///   when `ub == kth_score` inside the list's last `tf` block (where
+///   pages ascend) past `kth_page`, so every later page loses the tie on
+///   page id. The boundary only improves afterwards, so those pages stay
+///   out; a page of the skipped remainder whose first list is earlier
+///   was either seen there or bounded out when that list stopped.
 fn topk_scan<L: TermLists>(
     lists: &L,
     idf: &[f64],
@@ -156,53 +193,62 @@ fn topk_scan<L: TermLists>(
     scratch: &mut SearchScratch,
 ) -> Vec<SearchHit> {
     // Scan order: distinct lists, rarest first (stable on equal
-    // lengths), so the upper bound collapses as early as possible.
-    // Each list carries its query multiplicity — a token repeated in
-    // the query contributes that many times to a page's score, so
-    // every upper bound below must scale by it too.
-    let mut scan: Vec<(u32, u32)> = {
-        let mut distinct: Vec<u32> = resolved.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        distinct
-            .into_iter()
-            .map(|t| (t, resolved.iter().filter(|&&r| r == t).count() as u32))
-            .collect()
-    };
-    scan.sort_by_key(|&(t, _)| lists.page_ascending(t).len());
-    // `exhausted[t]` once list `t` has been scanned to the end: a page
-    // still unseen afterwards is provably absent from it, so scoring
-    // can skip that term without a lookup.
-    let mut exhausted: FnvMap<u32, bool> = scan.iter().map(|&(t, _)| (t, false)).collect();
+    // lengths), so the bound collapses as early as possible.
+    let mut scan: Vec<u32> = resolved.to_vec();
+    scan.sort_unstable();
+    scan.dedup();
+    scan.sort_by_key(|&t| lists.page_ascending(t).len());
+    // Per query position: its list's scan index, and whether that list
+    // was scanned to the end (a page still unseen afterwards is absent
+    // from it, so scoring skips the lookup).
+    let slot: Vec<usize> = resolved
+        .iter()
+        .map(|t| {
+            scan.iter()
+                .position(|s| s == t)
+                .expect("every query term is scanned")
+        })
+        .collect();
+    let mut exhausted = vec![false; resolved.len()];
+    // Per query position: the gallop cursor into its page-ascending list.
+    let mut cursor = vec![0usize; resolved.len()];
+    let head: Vec<f64> = scan
+        .iter()
+        .map(|&t| {
+            lists
+                .contribution_order(t)
+                .first()
+                .map_or(0.0, |&(_, tf)| contribution(tf, idf[t as usize]))
+        })
+        .collect();
 
     scratch.begin(pages);
     let mut tracker = TopHits::new(limit);
-    for (li, &(tid, mult)) in scan.iter().enumerate() {
-        // Best contribution still reachable from the lists after this
-        // one (their contribution-sorted heads, times multiplicity).
-        let rest_ub: f64 = scan[li + 1..]
-            .iter()
-            .map(|&(t, m)| {
-                lists.contribution_order(t).first().map_or(0.0, |&(_, tf)| {
-                    f64::from(m) * contribution(tf, idf[t as usize])
-                })
-            })
-            .sum();
+    for (li, &tid) in scan.iter().enumerate() {
+        let list = lists.contribution_order(tid);
+        let min_tf = list.last().map_or(0, |&(_, tf)| tf);
         let term_idf = idf[tid as usize];
+        let (mut block_tf, mut c, mut ub) = (0u32, 0.0f64, 0.0f64);
         let mut completed = true;
-        for &(page, tf) in lists.contribution_order(tid) {
+        for &(page, tf) in list {
+            if tf != block_tf {
+                // A new `tf` block: the contribution and the bound step
+                // down, and pages restart from the lowest id.
+                block_tf = tf;
+                c = contribution(tf, term_idf);
+                ub = 0.0;
+                for &s in &slot {
+                    if s == li {
+                        ub += c;
+                    } else if s > li {
+                        ub += head[s];
+                    }
+                }
+                cursor.fill(0);
+            }
             if tracker.is_full() {
-                let ub = rest_ub + f64::from(mult) * contribution(tf, term_idf);
-                let (kth_score, _) = tracker.worst();
-                if ub < kth_score {
-                    // No page drawn from this list's remainder can
-                    // reach the boundary: within the list
-                    // contributions only fall, deeper lists are
-                    // already inside `rest_ub`, and the boundary
-                    // score only rises from here — so the skip stays
-                    // sound for the rest of the scan too. (Pages of
-                    // the remainder that also sit in a later list
-                    // still get scored there, via the lookup path.)
+                let (kth_score, kth_page) = tracker.worst();
+                if ub < kth_score || (ub == kth_score && tf == min_tf && page > kth_page) {
                     completed = false;
                     break;
                 }
@@ -211,21 +257,13 @@ fn topk_scan<L: TermLists>(
                 continue; // already scored on first sight
             }
             scratch.mark[page as usize] = scratch.epoch;
-            // Full exact score, accumulated in query-term order: the
-            // same addition sequence as the exhaustive path. The term
-            // being scanned contributes its known tf; terms whose
-            // lists were already exhausted cannot contain a page
-            // first seen here; everything else is a binary search.
             let mut score = 0.0f64;
-            for &t in resolved {
-                if t == tid {
-                    score += contribution(tf, term_idf);
-                } else if !exhausted[&t] {
-                    if let Ok(pos) = lists
-                        .page_ascending(t)
-                        .binary_search_by_key(&page, |&(p, _)| p)
-                    {
-                        let (_, tf_t) = lists.page_ascending(t)[pos];
+            for (q, &t) in resolved.iter().enumerate() {
+                if slot[q] == li {
+                    score += c;
+                } else if !exhausted[q] {
+                    let other = lists.page_ascending(t);
+                    if let Some(tf_t) = gallop(other, &mut cursor[q], page) {
                         score += contribution(tf_t, idf[t as usize]);
                     }
                 }
@@ -233,7 +271,9 @@ fn topk_scan<L: TermLists>(
             tracker.offer(score, page);
         }
         if completed {
-            exhausted.insert(tid, true);
+            for (q, &s) in slot.iter().enumerate() {
+                exhausted[q] |= s == li;
+            }
         }
     }
     tracker.into_hits()
@@ -459,20 +499,24 @@ impl SearchEngine {
     /// bit-identical scores, same order), established as follows.
     ///
     /// * Term lists are scanned rarest-first in their pre-sorted
-    ///   contribution-descending order, so the maximum score any *unseen*
-    ///   page could still reach (`ub`: the current frontier contribution
-    ///   of the active list plus the best contribution of every unscanned
-    ///   list) only decreases.
-    /// * A page's full score is computed the moment it is first seen, by
-    ///   binary-searching every query term's page-ascending postings and
-    ///   accumulating in query-term order — the exact float-addition
-    ///   sequence of the exhaustive path.
-    /// * Once `limit` candidates are held and `ub` falls strictly below
-    ///   the current `limit`-th best score, no unseen page can enter the
-    ///   result (ties at the boundary are impossible: they would require
-    ///   `ub ==` the boundary score, which keeps the scan alive), so the
-    ///   remaining postings — typically the long tail of a common
-    ///   first-name list — are never touched.
+    ///   contribution-descending order (`tf` descending, then page
+    ///   ascending), and a page's full score is computed the moment it is
+    ///   first seen, accumulating in query-term order — the exact
+    ///   float-addition sequence of the exhaustive path. Lookups into the
+    ///   other terms' page-ascending lists gallop forward, since pages
+    ///   ascend within each `tf` block.
+    /// * The bound `ub` on any unseen page is summed in that same
+    ///   query-term order, so by monotone rounding it is never below such
+    ///   a page's score — not even by an ulp.
+    /// * Once `limit` candidates are held, a list stops when no unseen
+    ///   page can *beat* the `limit`-th hit under `(score desc, page
+    ///   asc)`: `ub` falls below its score, or equals it in the list's
+    ///   last `tf` block past its page, where every later page loses the
+    ///   tie on page id. The second case is the common one for name
+    ///   queries: many people share a first and last name, so the
+    ///   boundary is a tie among pages holding both tokens, and the
+    ///   remaining postings — typically the long tail of a common name
+    ///   token — are never touched.
     ///
     /// Selection is a bounded worst-out tracker instead of a full sort of
     /// every candidate, which is the other constant-factor win at harvest
@@ -1095,6 +1139,103 @@ mod tests {
                 assert_eq!(a.score.to_bits(), b.score.to_bits(), "limit {limit}");
             }
         }
+    }
+
+    fn assert_same_hits(got: &[SearchHit], want: &[SearchHit], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (a, b) in got.iter().zip(want) {
+            assert_eq!(a.page, b.page, "{what}");
+            assert_eq!(a.score.to_bits(), b.score.to_bits(), "{what}");
+        }
+    }
+
+    #[test]
+    fn topk_is_exact_when_many_pages_tie_at_the_boundary() {
+        // Ten interleaved "robert smith" pages tie for every limit below
+        // them, so the scans stop on the tie-aware exit; `tf` 2 pages sit
+        // at the head of both name lists, and several queries repeat a
+        // token.
+        let pattern = [
+            "robert smith",
+            "robert",
+            "robert robert smith",
+            "smith",
+            "robert smith",
+            "john smith",
+            "robert smith",
+            "smith smith robert",
+            "robert jones",
+            "robert smith",
+            "alice walker",
+            "robert smith",
+            "john",
+        ];
+        let pages: Vec<WebPage> = (0..3)
+            .flat_map(|_| pattern)
+            .enumerate()
+            .map(|(i, t)| WebPage {
+                id: i,
+                person_id: None,
+                display_name: format!("{t} {i}"),
+                kind: PageKind::News,
+                text: t.into(),
+            })
+            .collect();
+        let e = SearchEngine::build(pages);
+        let queries = [
+            "robert smith",
+            "smith robert",
+            "robert robert smith",
+            "smith smith robert",
+            "robert smith smith robert",
+            "john robert smith",
+            "robert jones smith",
+            "robert",
+            "smith",
+            "zzyzx robert smith",
+        ];
+        let sharded: Vec<ShardedSearchEngine> = (1..=5)
+            .map(|shards| ShardedSearchEngine::build(&e, ShardPlan::new(shards, 3)))
+            .collect();
+        let mut scratch = e.scratch();
+        let mut cache = e.term_cache();
+        for limit in 1..=12usize {
+            for q in &queries {
+                let exhaustive = e.search(q, limit);
+                let what = format!("query {q:?} limit {limit}");
+                let flat = e.search_topk_with(q, limit, &mut scratch, &mut cache);
+                assert_same_hits(&flat, &exhaustive, &what);
+                for engine in &sharded {
+                    let what = format!("{what} shards {}", engine.shard_count());
+                    let split = engine.search_topk_with(q, limit, &mut scratch, &mut cache);
+                    assert_same_hits(&split, &exhaustive, &what);
+                    let alive = vec![true; engine.shard_count()];
+                    let surviving =
+                        engine.search_topk_surviving(q, limit, &alive, &mut scratch, &mut cache);
+                    assert_same_hits(&surviving, &exhaustive, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gallop_finds_pages_and_advances_past_smaller_ones() {
+        let list: Vec<(u32, u32)> = (0..50u32).map(|i| (i * 3, i + 1)).collect();
+        let mut from = 0;
+        for page in 0..150u32 {
+            let before = from;
+            let found = gallop(&list, &mut from, page);
+            assert_eq!(
+                found,
+                (page % 3 == 0).then_some(page / 3 + 1),
+                "page {page}"
+            );
+            assert!(from >= before, "the cursor only moves forward");
+            assert!(list[..from].iter().all(|&(p, _)| p < page));
+        }
+        assert_eq!(gallop(&list, &mut from, 1_000), None);
+        assert_eq!(from, list.len());
+        assert_eq!(gallop(&[], &mut 0, 7), None);
     }
 
     #[test]

@@ -577,3 +577,64 @@ proptest! {
         }
     }
 }
+
+/// Above the synthetic name pool (56 first × 60 last names = 3,360), names
+/// gain numeric suffixes and groups of people share a first and last name,
+/// so the `hits_per_name`-th best score of a name query is usually a tie
+/// among pages holding both tokens — the top-k scanner's tie-aware exit.
+/// The small-population proptests above never get there.
+#[test]
+fn topk_search_and_sharded_harvest_stay_exact_above_name_pool_capacity() {
+    use fred_bench::{faculty_world, WorldConfig};
+    use fred_suite::attack::harvest_auxiliary_sharded;
+    use fred_suite::data::ShardPlan;
+    use fred_suite::web::ShardedSearchEngine;
+
+    let rows = 4_000;
+    let world = faculty_world(&WorldConfig {
+        size: rows,
+        seed: 41,
+        ..WorldConfig::default()
+    });
+    let release = world.table.suppress_sensitive();
+    let names = release.identifier_strings();
+    let web = &world.web;
+    let mut scratch = web.scratch();
+    let mut cache = web.term_cache();
+    let limit = HarvestConfig::default().hits_per_name;
+    let mut boundary_ties = 0;
+    for name in &names {
+        let exhaustive = web.search(name, limit + 1);
+        if exhaustive.len() > limit && exhaustive[limit - 1].score == exhaustive[limit].score {
+            boundary_ties += 1;
+        }
+        let exhaustive = &exhaustive[..exhaustive.len().min(limit)];
+        let fast = web.search_topk_with(name, limit, &mut scratch, &mut cache);
+        assert_eq!(fast.len(), exhaustive.len(), "query {name:?}");
+        for (a, b) in fast.iter().zip(exhaustive) {
+            assert_eq!(a.page, b.page, "query {name:?}");
+            assert_eq!(a.score.to_bits(), b.score.to_bits(), "query {name:?}");
+        }
+    }
+    assert!(
+        names.iter().any(|n| n.split_whitespace().count() > 2),
+        "the world must overflow the name pool"
+    );
+    assert!(
+        boundary_ties * 2 > names.len(),
+        "most queries must tie at the boundary: {boundary_ties} of {}",
+        names.len()
+    );
+
+    let config = HarvestConfig::default();
+    let reference = harvest_auxiliary(&release, web, &config).unwrap();
+    for plan in [ShardPlan::for_size(rows, 41), ShardPlan::new(3, 41)] {
+        let sharded_engine = ShardedSearchEngine::build(web, plan);
+        let sharded = harvest_auxiliary_sharded(&release, &sharded_engine, &config).unwrap();
+        let shards = plan.shards();
+        assert_eq!(sharded.records, reference.records, "{shards} shards");
+        assert_eq!(sharded.linked, reference.linked, "{shards} shards");
+        assert_eq!(sharded.pages_inspected, reference.pages_inspected);
+        assert_eq!(sharded.pages_linked, reference.pages_linked);
+    }
+}
