@@ -1,27 +1,28 @@
-//! Checkpoint artifacts for the quick-bench pipeline: how each stage's
-//! result round-trips through `fred-recover`'s envelope protocol.
+//! Checkpoint artifacts for the quick-bench pipeline.
 //!
 //! Two artifact families exist. *Anchors* ([`StageAnchor`]) cover the
-//! cheap upstream stages (world build, MDAV + anonymization, harvest)
-//! that are always recomputed on resume: the anchor carries a content
-//! digest of the recomputed state, so `StageRunner::run_verified` can
-//! prove the checkpoint directory still belongs to this exact
-//! configuration before any downstream checkpoint is trusted. *Block
-//! artifacts* are the bench blocks themselves ([`super::perf`] structs),
-//! which a resumed run loads instead of recomputing — the actual time
-//! saved by resumption.
+//! stages whose output is not itself a bench block: the cheap upstream
+//! stages (world build, MDAV + anonymization, harvest), which are
+//! always recomputed on resume — the anchor's content digest of the
+//! recomputed state lets `StageRunner::run_verified` prove the
+//! checkpoint directory still belongs to this exact configuration
+//! before any downstream checkpoint is trusted — and the estimate
+//! comparison, whose digest pins the estimate vector. *Block
+//! artifacts* are the bench blocks themselves: each [`super::perf`]
+//! block struct's `Artifact` impl is the one declaration of its JSON,
+//! used both for its checkpoint and for its block of
+//! `BENCH_sweep.json`, and a resumed run loads those instead of
+//! recomputing — the actual time saved by resumption.
 //!
-//! Every float is rendered with `{:?}` (Rust's shortest round-trip
-//! form), so a load-then-render at the bench's fixed precision is
-//! bit-identical to an uninterrupted run; 64-bit digests are rendered as
-//! hex strings because JSON numbers lose integer precision past 2^53.
+//! Checkpoints render floats in shortest round-trip form, so a
+//! load-then-render at the bench's fixed precision is bit-identical to
+//! an uninterrupted run; 64-bit digests are hex strings
+//! ([`json::hex`]) because JSON numbers lose integer precision past
+//! 2^53.
 
-use fred_recover::{json, Artifact};
+use fred_recover::{from_array, json, to_array, Artifact};
 
-use crate::perf::{
-    CompositionBench, CompositionBenchRow, DefenseBench, DefenseBenchRow, EvalBench, EvalCellRow,
-    Large100kBench, LargeBench, RobustnessBench, RobustnessBenchRow, ShardBenchRow, StageTiming,
-};
+use crate::perf::StageTiming;
 use crate::world::World;
 use fred_attack::Harvest;
 
@@ -107,502 +108,38 @@ pub fn digest_bits(bits: &[u64]) -> u64 {
     d.finish()
 }
 
-/// Interns a parsed stage name back to the `&'static str` the
-/// [`StageTiming`] roster uses. `None` for unknown names — a checkpoint
-/// naming a stage this build does not know is corrupt or stale.
-pub fn intern_stage_name(name: &str) -> Option<&'static str> {
-    crate::stages::TIMING_ROSTER
-        .iter()
-        .find(|&&n| n == name)
-        .copied()
-}
-
-/// Interns a robustness-row mode label.
-fn intern_mode(mode: &str) -> Option<&'static str> {
-    match mode {
-        "uniform" => Some("uniform"),
-        "targeted" => Some("targeted"),
-        _ => None,
-    }
-}
-
-/// The always-recomputed anchor artifact: a content digest of one cheap
-/// upstream stage plus the [`StageTiming`] rows it contributes. Under a
-/// checkpoint store timings are zeroed (deterministic mode), so two runs
-/// of the same configuration produce `PartialEq`-identical anchors.
+/// The anchor artifact: a content digest of what one stage computed plus
+/// the [`StageTiming`] rows it contributes. Under a checkpoint store
+/// timings are zeroed (deterministic mode), so two runs of the same
+/// configuration produce `PartialEq`-identical anchors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageAnchor {
     /// Checkpoint stage name.
     pub label: String,
     /// Rows the stage processed.
     pub rows: usize,
-    /// Content digest of the recomputed state.
+    /// Content digest of what the stage computed.
     pub content_hash: u64,
-    /// `(stage name, wall_ms, rows)` timing rows for the bench output.
-    pub timings: Vec<(String, f64, usize)>,
+    /// Timing rows for the bench output.
+    pub timings: Vec<StageTiming>,
 }
 
 impl Artifact for StageAnchor {
-    fn to_payload(&self) -> String {
-        let timings: Vec<String> = self
-            .timings
-            .iter()
-            .map(|(name, wall, rows)| {
-                format!(
-                    "{{\"name\": \"{}\", \"wall_ms\": {wall:?}, \"rows\": {rows}}}",
-                    json::escape(name)
-                )
-            })
-            .collect();
-        format!(
-            "{{\"label\": \"{}\", \"rows\": {}, \"content_hash\": \"{:016x}\", \"timings\": [{}]}}",
-            json::escape(&self.label),
-            self.rows,
-            self.content_hash,
-            timings.join(", ")
-        )
+    fn to_value(&self) -> json::Value {
+        json::Value::obj([
+            ("label", self.label.as_str().into()),
+            ("rows", self.rows.into()),
+            ("content_hash", json::hex(self.content_hash)),
+            ("timings", to_array(&self.timings)),
+        ])
     }
 
-    fn from_payload(value: &json::Value) -> Option<StageAnchor> {
-        let timings = value
-            .get("timings")?
-            .as_arr()?
-            .iter()
-            .map(|t| {
-                Some((
-                    t.get("name")?.as_str()?.to_string(),
-                    t.get("wall_ms")?.as_f64()?,
-                    t.get("rows")?.as_usize()?,
-                ))
-            })
-            .collect::<Option<Vec<_>>>()?;
+    fn from_value(value: &json::Value) -> Option<StageAnchor> {
         Some(StageAnchor {
             label: value.get("label")?.as_str()?.to_string(),
             rows: value.get("rows")?.as_usize()?,
-            content_hash: u64::from_str_radix(value.get("content_hash")?.as_str()?, 16).ok()?,
-            timings,
-        })
-    }
-}
-
-/// The estimate-comparison stage's artifact: both timings, the headline
-/// speedup and a digest of the (bit-identical) estimate vector.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EstimatesArtifact {
-    /// Naive interpreted-path wall clock (ms; 0 in deterministic mode).
-    pub naive_ms: f64,
-    /// Batch/parallel-path wall clock (ms; 0 in deterministic mode).
-    pub batch_ms: f64,
-    /// Rows estimated per path.
-    pub rows: usize,
-    /// `naive_ms / batch_ms` (0 in deterministic mode).
-    pub speedup: f64,
-    /// Digest of the estimate bit-vector both paths produced.
-    pub estimate_hash: u64,
-}
-
-impl Artifact for EstimatesArtifact {
-    fn to_payload(&self) -> String {
-        format!(
-            "{{\"naive_ms\": {:?}, \"batch_ms\": {:?}, \"rows\": {}, \"speedup\": {:?}, \"estimate_hash\": \"{:016x}\"}}",
-            self.naive_ms, self.batch_ms, self.rows, self.speedup, self.estimate_hash
-        )
-    }
-
-    fn from_payload(value: &json::Value) -> Option<EstimatesArtifact> {
-        Some(EstimatesArtifact {
-            naive_ms: value.get("naive_ms")?.as_f64()?,
-            batch_ms: value.get("batch_ms")?.as_f64()?,
-            rows: value.get("rows")?.as_usize()?,
-            speedup: value.get("speedup")?.as_f64()?,
-            estimate_hash: u64::from_str_radix(value.get("estimate_hash")?.as_str()?, 16).ok()?,
-        })
-    }
-}
-
-/// The end-to-end sweep stage's artifact (the sweep result itself is
-/// not part of the bench output — only its cost).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepArtifact {
-    /// Wall clock (ms; 0 in deterministic mode).
-    pub wall_ms: f64,
-    /// Rows swept (records × levels).
-    pub rows: usize,
-}
-
-impl Artifact for SweepArtifact {
-    fn to_payload(&self) -> String {
-        format!(
-            "{{\"wall_ms\": {:?}, \"rows\": {}}}",
-            self.wall_ms, self.rows
-        )
-    }
-
-    fn from_payload(value: &json::Value) -> Option<SweepArtifact> {
-        Some(SweepArtifact {
-            wall_ms: value.get("wall_ms")?.as_f64()?,
-            rows: value.get("rows")?.as_usize()?,
-        })
-    }
-}
-
-fn composition_payload(comp: &CompositionBench) -> String {
-    let rows: Vec<String> = comp
-        .rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"releases\": {}, \"disclosure_gain\": {:?}, \"mean_candidates\": {:?}, \"estimate_gain\": {:?}}}",
-                r.releases, r.disclosure_gain, r.mean_candidates, r.estimate_gain
-            )
-        })
-        .collect();
-    format!(
-        "{{\"k\": {}, \"overlap\": {:?}, \"wall_ms\": {:?}, \"rows\": [{}]}}",
-        comp.k,
-        comp.overlap,
-        comp.wall_ms,
-        rows.join(", ")
-    )
-}
-
-fn composition_from_payload(value: &json::Value) -> Option<CompositionBench> {
-    let rows = value
-        .get("rows")?
-        .as_arr()?
-        .iter()
-        .map(|r| {
-            Some(CompositionBenchRow {
-                releases: r.get("releases")?.as_usize()?,
-                disclosure_gain: r.get("disclosure_gain")?.as_f64()?,
-                mean_candidates: r.get("mean_candidates")?.as_f64()?,
-                estimate_gain: r.get("estimate_gain")?.as_f64()?,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some(CompositionBench {
-        k: value.get("k")?.as_usize()?,
-        overlap: value.get("overlap")?.as_f64()?,
-        wall_ms: value.get("wall_ms")?.as_f64()?,
-        rows,
-    })
-}
-
-impl Artifact for CompositionBench {
-    fn to_payload(&self) -> String {
-        composition_payload(self)
-    }
-
-    fn from_payload(value: &json::Value) -> Option<CompositionBench> {
-        composition_from_payload(value)
-    }
-}
-
-impl Artifact for DefenseBench {
-    fn to_payload(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"policy\": \"{}\", \"releases\": {}, \"residual_gain\": {:?}, \"undefended_gain\": {:?}, \"mean_candidates\": {:?}, \"utility_cost\": {:?}}}",
-                    json::escape(&r.policy),
-                    r.releases,
-                    r.residual_gain,
-                    r.undefended_gain,
-                    r.mean_candidates,
-                    r.utility_cost
-                )
-            })
-            .collect();
-        format!(
-            "{{\"k\": {}, \"overlap\": {:?}, \"wall_ms\": {:?}, \"rows\": [{}]}}",
-            self.k,
-            self.overlap,
-            self.wall_ms,
-            rows.join(", ")
-        )
-    }
-
-    fn from_payload(value: &json::Value) -> Option<DefenseBench> {
-        let rows = value
-            .get("rows")?
-            .as_arr()?
-            .iter()
-            .map(|r| {
-                Some(DefenseBenchRow {
-                    policy: r.get("policy")?.as_str()?.to_string(),
-                    releases: r.get("releases")?.as_usize()?,
-                    residual_gain: r.get("residual_gain")?.as_f64()?,
-                    undefended_gain: r.get("undefended_gain")?.as_f64()?,
-                    mean_candidates: r.get("mean_candidates")?.as_f64()?,
-                    utility_cost: r.get("utility_cost")?.as_f64()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(DefenseBench {
-            k: value.get("k")?.as_usize()?,
-            overlap: value.get("overlap")?.as_f64()?,
-            wall_ms: value.get("wall_ms")?.as_f64()?,
-            rows,
-        })
-    }
-}
-
-impl Artifact for EvalBench {
-    fn to_payload(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"k\": {}, \"releases\": {}, \"defense\": \"{}\", \"targets\": {}, \"decoys\": {}, \"auc\": {:?}, \"tpr_at_fpr3\": {:?}, \"epsilon\": {:?}}}",
-                    r.k,
-                    r.releases,
-                    json::escape(&r.defense),
-                    r.targets,
-                    r.decoys,
-                    r.auc,
-                    r.tpr_at_fpr3,
-                    r.epsilon
-                )
-            })
-            .collect();
-        format!(
-            "{{\"wall_ms\": {:?}, \"rows\": [{}]}}",
-            self.wall_ms,
-            rows.join(", ")
-        )
-    }
-
-    fn from_payload(value: &json::Value) -> Option<EvalBench> {
-        let rows = value
-            .get("rows")?
-            .as_arr()?
-            .iter()
-            .map(|r| {
-                Some(EvalCellRow {
-                    k: r.get("k")?.as_usize()?,
-                    releases: r.get("releases")?.as_usize()?,
-                    defense: r.get("defense")?.as_str()?.to_string(),
-                    targets: r.get("targets")?.as_usize()?,
-                    decoys: r.get("decoys")?.as_usize()?,
-                    auc: r.get("auc")?.as_f64()?,
-                    tpr_at_fpr3: r.get("tpr_at_fpr3")?.as_f64()?,
-                    epsilon: r.get("epsilon")?.as_f64()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(EvalBench {
-            wall_ms: value.get("wall_ms")?.as_f64()?,
-            rows,
-        })
-    }
-}
-
-impl Artifact for RobustnessBench {
-    fn to_payload(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"fault_rate\": {:?}, \"mode\": \"{}\", \"harvest_precision\": {:?}, \"harvest_coverage\": {:?}, \"composition_gain\": {:?}, \"pages_rejected\": {}, \"rows_skipped\": {}, \"fields_imputed\": {}, \"workers_restarted\": {}, \"shards_lost\": {}}}",
-                    r.fault_rate,
-                    r.mode,
-                    r.harvest_precision,
-                    r.harvest_coverage,
-                    r.composition_gain,
-                    r.pages_rejected,
-                    r.rows_skipped,
-                    r.fields_imputed,
-                    r.workers_restarted,
-                    r.shards_lost
-                )
-            })
-            .collect();
-        format!(
-            "{{\"max_rate\": {:?}, \"seed\": {}, \"wall_ms\": {:?}, \"rows\": [{}]}}",
-            self.max_rate,
-            self.seed,
-            self.wall_ms,
-            rows.join(", ")
-        )
-    }
-
-    fn from_payload(value: &json::Value) -> Option<RobustnessBench> {
-        let rows = value
-            .get("rows")?
-            .as_arr()?
-            .iter()
-            .map(|r| {
-                Some(RobustnessBenchRow {
-                    fault_rate: r.get("fault_rate")?.as_f64()?,
-                    mode: intern_mode(r.get("mode")?.as_str()?)?,
-                    harvest_precision: r.get("harvest_precision")?.as_f64()?,
-                    harvest_coverage: r.get("harvest_coverage")?.as_f64()?,
-                    composition_gain: r.get("composition_gain")?.as_f64()?,
-                    pages_rejected: r.get("pages_rejected")?.as_usize()?,
-                    rows_skipped: r.get("rows_skipped")?.as_usize()?,
-                    fields_imputed: r.get("fields_imputed")?.as_usize()?,
-                    workers_restarted: r.get("workers_restarted")?.as_usize()?,
-                    shards_lost: r.get("shards_lost")?.as_usize()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(RobustnessBench {
-            max_rate: value.get("max_rate")?.as_f64()?,
-            seed: value.get("seed")?.as_f64()? as u64,
-            wall_ms: value.get("wall_ms")?.as_f64()?,
-            rows,
-        })
-    }
-}
-
-impl Artifact for LargeBench {
-    fn to_payload(&self) -> String {
-        let stages: Vec<String> = self
-            .stages
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"name\": \"{}\", \"wall_ms\": {:?}, \"rows\": {}}}",
-                    s.name, s.wall_ms, s.rows
-                )
-            })
-            .collect();
-        let composition = match &self.composition {
-            Some(comp) => composition_payload(comp),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"size\": {}, \"cores\": {}, \"speedup_harvest_parallel_vs_single\": {:?}, \"stages\": [{}], \"composition\": {}}}",
-            self.size,
-            self.cores,
-            self.speedup_harvest_parallel_vs_single,
-            stages.join(", "),
-            composition
-        )
-    }
-
-    fn from_payload(value: &json::Value) -> Option<LargeBench> {
-        let stages = value
-            .get("stages")?
-            .as_arr()?
-            .iter()
-            .map(|s| {
-                Some(StageTiming {
-                    name: intern_stage_name(s.get("name")?.as_str()?)?,
-                    wall_ms: s.get("wall_ms")?.as_f64()?,
-                    rows: s.get("rows")?.as_usize()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let composition = match value.get("composition")? {
-            json::Value::Null => None,
-            comp => Some(composition_from_payload(comp)?),
-        };
-        Some(LargeBench {
-            size: value.get("size")?.as_usize()?,
-            cores: value.get("cores")?.as_usize()?,
-            stages,
-            speedup_harvest_parallel_vs_single: value
-                .get("speedup_harvest_parallel_vs_single")?
-                .as_f64()?,
-            composition,
-        })
-    }
-}
-
-impl Artifact for Large100kBench {
-    fn to_payload(&self) -> String {
-        let stages: Vec<String> = self
-            .stages
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"name\": \"{}\", \"wall_ms\": {:?}, \"rows\": {}}}",
-                    s.name, s.wall_ms, s.rows
-                )
-            })
-            .collect();
-        let shard_rows: Vec<String> = self
-            .shard_rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"shard\": {}, \"rows\": {}, \"pages\": {}, \"capped\": {}}}",
-                    r.shard, r.rows, r.pages, r.capped
-                )
-            })
-            .collect();
-        format!(
-            "{{\"size\": {}, \"shards\": {}, \"cores\": {}, \"sample_rows\": {}, \"peak_rss_mb\": {:?}, \
-             \"harvest_digest_sharded\": \"{:016x}\", \"harvest_digest_unsharded\": \"{:016x}\", \
-             \"mdav_digest_sharded\": \"{:016x}\", \"mdav_digest_unsharded\": \"{:016x}\", \
-             \"intersect_digest_sharded\": \"{:016x}\", \"intersect_digest_unsharded\": \"{:016x}\", \
-             \"stages\": [{}], \"shard_rows\": [{}]}}",
-            self.size,
-            self.shards,
-            self.cores,
-            self.sample_rows,
-            self.peak_rss_mb,
-            self.harvest_digest_sharded,
-            self.harvest_digest_unsharded,
-            self.mdav_digest_sharded,
-            self.mdav_digest_unsharded,
-            self.intersect_digest_sharded,
-            self.intersect_digest_unsharded,
-            stages.join(", "),
-            shard_rows.join(", ")
-        )
-    }
-
-    fn from_payload(value: &json::Value) -> Option<Large100kBench> {
-        let stages = value
-            .get("stages")?
-            .as_arr()?
-            .iter()
-            .map(|s| {
-                Some(StageTiming {
-                    name: intern_stage_name(s.get("name")?.as_str()?)?,
-                    wall_ms: s.get("wall_ms")?.as_f64()?,
-                    rows: s.get("rows")?.as_usize()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let shard_rows = value
-            .get("shard_rows")?
-            .as_arr()?
-            .iter()
-            .map(|r| {
-                Some(ShardBenchRow {
-                    shard: r.get("shard")?.as_usize()?,
-                    rows: r.get("rows")?.as_usize()?,
-                    pages: r.get("pages")?.as_usize()?,
-                    // Checkpoints written before the cap-saturation fix
-                    // lack the field; those runs were all well below the
-                    // 64-shard ceiling, so absent means uncapped.
-                    capped: r.get("capped").and_then(|v| v.as_bool()).unwrap_or(false),
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let hex =
-            |key: &str| -> Option<u64> { u64::from_str_radix(value.get(key)?.as_str()?, 16).ok() };
-        Some(Large100kBench {
-            size: value.get("size")?.as_usize()?,
-            shards: value.get("shards")?.as_usize()?,
-            cores: value.get("cores")?.as_usize()?,
-            sample_rows: value.get("sample_rows")?.as_usize()?,
-            peak_rss_mb: value.get("peak_rss_mb")?.as_f64()?,
-            stages,
-            shard_rows,
-            harvest_digest_sharded: hex("harvest_digest_sharded")?,
-            harvest_digest_unsharded: hex("harvest_digest_unsharded")?,
-            mdav_digest_sharded: hex("mdav_digest_sharded")?,
-            mdav_digest_unsharded: hex("mdav_digest_unsharded")?,
-            intersect_digest_sharded: hex("intersect_digest_sharded")?,
-            intersect_digest_unsharded: hex("intersect_digest_unsharded")?,
+            content_hash: value.get("content_hash")?.as_hex()?,
+            timings: from_array(value.get("timings")?)?,
         })
     }
 }
@@ -610,11 +147,60 @@ impl Artifact for Large100kBench {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compare::{compare_baselines, parse_baseline};
+    use crate::perf::{
+        bench_decimals, quick_bench, CompositionBench, CompositionBenchRow, DefenseBench,
+        DefenseBenchRow, EvalBench, EvalCellRow, Large100kBench, LargeBench, ProfileBench,
+        ProfileHistRow, ProfileStageRow, QuickBenchOptions, RecoveryBench, RobustnessBench,
+        RobustnessBenchRow, ShardBenchRow,
+    };
+    use crate::world::WorldConfig;
+    use json::Value;
 
+    /// Canonical render, parse, decode — exactly what a checkpoint does.
     fn round_trip<T: Artifact>(artifact: &T) -> T {
-        let payload = artifact.to_payload();
-        let value = json::parse(&payload).expect("payload parses");
-        T::from_payload(&value).expect("payload decodes")
+        let text = json::render(&artifact.to_value(), &|_| None);
+        let value = json::parse(&text).expect("payload parses");
+        T::from_value(&value).expect("payload decodes")
+    }
+
+    /// `value` with every number under a [`bench_decimals`] key rounded
+    /// to that key's precision — what `BENCH_sweep.json` must hold.
+    fn rounded(value: &Value, key: &str) -> Value {
+        match value {
+            Value::Num(n) => match bench_decimals(key) {
+                Some(places) => Value::Num(format!("{n:.places$}").parse().unwrap()),
+                None => Value::Num(*n),
+            },
+            Value::Arr(items) => Value::Arr(items.iter().map(|v| rounded(v, key)).collect()),
+            Value::Obj(pairs) => Value::Obj(
+                pairs
+                    .iter()
+                    .map(|(k, v)| (k.clone(), rounded(v, k)))
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+
+    /// The per-block table check: the checkpoint render round-trips the
+    /// block exactly, and the bench render holds the fixed-precision
+    /// values. Returns the decoded block and the parsed bench render.
+    fn check<T: Artifact + PartialEq + std::fmt::Debug>(block: &T) -> (T, Value) {
+        let back = round_trip(block);
+        assert_eq!(&back, block, "checkpoint round trip is not exact");
+        let value = block.to_value();
+        let bench = json::parse(&json::render(&value, &bench_decimals)).expect("bench parses");
+        assert_eq!(
+            bench,
+            rounded(&value, ""),
+            "bench render lost its precision table"
+        );
+        (back, bench)
+    }
+
+    fn num(row: &Value, key: &str) -> f64 {
+        row.get(key).and_then(Value::as_f64).unwrap()
     }
 
     #[test]
@@ -624,26 +210,45 @@ mod tests {
             rows: 120,
             content_hash: 0xdead_beef_0123_4567,
             timings: vec![
-                ("mdav_k5".to_string(), 1.25, 120),
-                ("anonymize_all_levels".to_string(), 0.1 + 0.2, 480),
+                StageTiming {
+                    name: "mdav_k5",
+                    wall_ms: 1.25,
+                    rows: 120,
+                },
+                StageTiming {
+                    name: "anonymize_all_levels",
+                    wall_ms: 0.1 + 0.2,
+                    rows: 480,
+                },
             ],
         };
         let back = round_trip(&anchor);
         assert_eq!(back, anchor);
-        assert_eq!(back.timings[1].1.to_bits(), (0.1f64 + 0.2).to_bits());
+        assert_eq!(back.timings[1].wall_ms.to_bits(), (0.1f64 + 0.2).to_bits());
     }
 
     #[test]
     fn estimates_and_sweep_round_trip() {
-        let est = EstimatesArtifact {
-            naive_ms: 12.345678901234,
-            batch_ms: 2.3,
+        let est = StageAnchor {
+            label: "estimates".to_string(),
             rows: 480,
-            speedup: 5.367251,
-            estimate_hash: 0xffff_ffff_ffff_fffe,
+            content_hash: 0xffff_ffff_ffff_fffe,
+            timings: vec![
+                StageTiming {
+                    name: "estimate_naive_per_row",
+                    wall_ms: 12.345678901234,
+                    rows: 480,
+                },
+                StageTiming {
+                    name: "estimate_batch_parallel",
+                    wall_ms: 2.3,
+                    rows: 480,
+                },
+            ],
         };
         assert_eq!(round_trip(&est), est);
-        let sweep = SweepArtifact {
+        let sweep = StageTiming {
+            name: "sweep_end_to_end",
             wall_ms: 0.0,
             rows: 480,
         };
@@ -663,8 +268,11 @@ mod tests {
                 estimate_gain: 1.88,
             }],
         };
-        let back = round_trip(&comp);
+        let (back, bench) = check(&comp);
         assert_eq!(back.rows[0].disclosure_gain.to_bits(), 8377.8f64.to_bits());
+        let row = &bench.get("rows").unwrap().as_arr().unwrap()[0];
+        assert_eq!(num(row, "estimate_gain"), 1.9);
+        assert_eq!(num(row, "mean_candidates"), 2.13);
 
         let defense = DefenseBench {
             k: 5,
@@ -679,7 +287,7 @@ mod tests {
                 utility_cost: 120.0,
             }],
         };
-        let back = round_trip(&defense);
+        let (back, _) = check(&defense);
         assert_eq!(back.rows[0].policy, "calibrated_widen_1.5");
 
         let eval = EvalBench {
@@ -707,13 +315,15 @@ mod tests {
                 },
             ],
         };
-        let back = round_trip(&eval);
-        assert_eq!(back, eval);
+        let (back, bench) = check(&eval);
         assert_eq!(back.rows[1].defense, "coordinated_seeds");
         assert_eq!(
             back.rows[0].epsilon.to_bits(),
             eval.rows[0].epsilon.to_bits()
         );
+        let rows = bench.get("rows").unwrap().as_arr().unwrap();
+        assert_eq!(num(&rows[0], "epsilon"), 4.0943);
+        assert_eq!(num(&rows[1], "epsilon"), 0.0082);
 
         let rob = RobustnessBench {
             max_rate: 0.1,
@@ -732,7 +342,7 @@ mod tests {
                 shards_lost: 2,
             }],
         };
-        let back = round_trip(&rob);
+        let (back, _) = check(&rob);
         assert_eq!(back.rows[0].mode, "targeted");
         assert_eq!(back.rows[0].shards_lost, 2);
 
@@ -747,9 +357,11 @@ mod tests {
             speedup_harvest_parallel_vs_single: 3.7,
             composition: Some(comp),
         };
-        let back = round_trip(&large);
+        let (back, bench) = check(&large);
         assert_eq!(back.stages[0].name, "mdav_k5_large");
         assert!(back.composition.is_some());
+        let stage = &bench.get("stages").unwrap().as_arr().unwrap()[0];
+        assert_eq!(num(stage, "rows_per_sec"), 39920.2);
 
         let sharded = Large100kBench {
             size: 100_000,
@@ -775,25 +387,119 @@ mod tests {
             intersect_digest_sharded: 1,
             intersect_digest_unsharded: 1,
         };
-        let back = round_trip(&sharded);
-        assert_eq!(back, sharded);
+        let (back, bench) = check(&sharded);
         assert_eq!(back.harvest_digest_sharded, 0x0123_4567_89ab_cdef);
-
-        // Checkpoints written before the cap-saturation field still
-        // parse, defaulting to uncapped.
-        let legacy = sharded.to_payload().replace(", \"capped\": true", "");
-        let value = json::parse(&legacy).unwrap();
-        let back = Large100kBench::from_payload(&value).expect("legacy payload decodes");
+        assert_eq!(num(&bench, "peak_rss_mb"), 512.2);
+        // Rows written before the cap-saturation field still decode,
+        // defaulting to uncapped.
+        let legacy = json::render(&sharded.to_value(), &|_| None).replace(", \"capped\": true", "");
+        let back = Large100kBench::from_value(&json::parse(&legacy).unwrap())
+            .expect("legacy payload decodes");
         assert!(!back.shard_rows[0].capped);
+
+        check(&RecoveryBench {
+            seed: 2015 ^ 0x5EC0,
+            transient_rate: 0.1,
+            max_attempts: 4,
+            retries_total: 1,
+            quarantined_total: 0,
+            escaped_panics: 0,
+            rows: vec![fred_recover::StageReport {
+                stage: "mdav".to_string(),
+                attempts: 2,
+                retries: 1,
+                backoff_ms: 1.0 / 3.0,
+                loaded: false,
+                verified: false,
+            }],
+            resumed: false,
+        });
+        check(&ProfileBench {
+            deterministic: false,
+            spans_total: 37,
+            events_total: 0,
+            span_tree_digest: "7b9bd67f29dda870".to_string(),
+            overhead_probe_calls: 1_000_000,
+            overhead_wall_ms: 2.6371,
+            overhead_pct_of_large: 0.1744,
+            stages: vec![ProfileStageRow {
+                stage: "mdav".to_string(),
+                self_ms: 0.7371,
+                spans: 1,
+            }],
+            counters: vec![("harvest.names".to_string(), 226)],
+            hists: vec![ProfileHistRow {
+                name: "harvest.name_ms".to_string(),
+                count: 226,
+                sum_ms: 7.1501,
+                buckets: vec![220, 4, 2, 0],
+            }],
+        });
+
+        // The whole writer, read back by the gate: a run with every
+        // block that carries stages or composition rows.
+        let json = quick_bench(
+            &WorldConfig {
+                size: 30,
+                ..WorldConfig::default()
+            },
+            2,
+            3,
+            1,
+            &QuickBenchOptions {
+                large_size: Some(40),
+                compose: true,
+                sharded_size: Some(80),
+                ..QuickBenchOptions::default()
+            },
+        )
+        .to_json();
+        let b = parse_baseline(&json);
+        assert!(b.structural_errors.is_empty(), "{:?}", b.structural_errors);
+        assert!(b.malformed_rows.is_empty(), "{:?}", b.malformed_rows);
+        let names: Vec<&str> = b.bench.all_stages().map(|s| s.name).collect();
+        for stage in [
+            "world_build",
+            "mdav_k5",
+            "mdav_k5_large",
+            "harvest_parallel_large",
+            "composition_large",
+            "equivalence_100k",
+        ] {
+            assert!(names.contains(&stage), "stage `{stage}` missing");
+        }
+        assert!(b.bench.cores >= 1);
+        let large = b.bench.large.as_ref().expect("large block parsed");
+        assert!(large.cores >= 1);
+        // Both composition series, attributed to their own blocks, R =
+        // 1..=3 each — not six rows pooled into one series.
+        let releases = |c: &CompositionBench| c.rows.iter().map(|r| r.releases).collect::<Vec<_>>();
+        assert_eq!(
+            releases(b.bench.composition.as_ref().unwrap()),
+            vec![1, 2, 3]
+        );
+        assert_eq!(releases(large.composition.as_ref().unwrap()), vec![1, 2, 3]);
+        let big = b.bench.large_100k.as_ref().expect("sharded block parsed");
+        assert_eq!((big.size, big.shards), (80, 1));
+        assert_eq!(big.shard_rows.len(), 1);
+        // A self-diff passes the composition and shard gates.
+        let report = compare_baselines(&json, &json);
+        assert!(
+            report
+                .violations
+                .iter()
+                .all(|v| !v.contains("composition") && !v.contains("large_100k")),
+            "{:?}",
+            report.violations
+        );
     }
 
     #[test]
     fn unknown_stage_or_mode_rejects_the_payload() {
         let large = "{\"size\": 10, \"cores\": 1, \"speedup_harvest_parallel_vs_single\": 1.0, \
-                     \"stages\": [{\"name\": \"not_a_stage\", \"wall_ms\": 1.0, \"rows\": 10}], \
-                     \"composition\": null}";
+                     \"stages\": [{\"name\": \"not_a_stage\", \"wall_ms\": 1.0, \"rows\": 10}]}";
         let value = json::parse(large).unwrap();
-        assert!(LargeBench::from_payload(&value).is_none());
+        assert!(LargeBench::from_value(&value).is_none());
 
         let rob =
             "{\"max_rate\": 0.1, \"seed\": 1, \"wall_ms\": 1.0, \"rows\": [{\"fault_rate\": 0.1, \
@@ -801,7 +507,7 @@ mod tests {
                    \"composition_gain\": 1.0, \"pages_rejected\": 0, \"rows_skipped\": 0, \
                    \"fields_imputed\": 0, \"workers_restarted\": 0, \"shards_lost\": 0}]}";
         let value = json::parse(rob).unwrap();
-        assert!(RobustnessBench::from_payload(&value).is_none());
+        assert!(RobustnessBench::from_value(&value).is_none());
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The perf-smoke gate: diffs a fresh `BENCH_sweep.json` against the
 //! committed baseline and reports regressions.
 //!
-//! The workspace builds offline (no serde), and the only JSON either side
-//! of the diff ever sees is the output of
-//! [`QuickBench::to_json`](crate::perf::QuickBench::to_json), so parsing
-//! is a deliberately small line-oriented extractor over that one stable
-//! format rather than a general JSON reader.
+//! Both sides are read as JSON: [`parse_baseline`] parses the file with
+//! `fred_recover::json`, drops every row holding a non-finite number,
+//! and decodes the rest through [`QuickBench`]'s `Artifact` impl — the
+//! same declaration that writes it. The gates read those shared structs,
+//! so layout is not load-bearing; structure is.
 //!
 //! Gate rules (enforced by `repro --quick --compare BASELINE` and the CI
 //! perf-smoke step):
@@ -20,10 +20,9 @@
 //!   is pure thread fan-out and a runner that silently lost all harvest
 //!   parallelism cannot clear the gate on algorithmic gains alone
 //!   (single-core runners skip this check — there is nothing to
-//!   parallelize over). The core count
-//!   is read from the `large` block itself when present (a heterogeneous
-//!   runner must not gate the 10k stage against the config block's
-//!   cores), falling back to the config block;
+//!   parallelize over). The core count is the `large` block's own (a
+//!   heterogeneous runner must not gate the 10k stage against the config
+//!   block's cores);
 //! * when the baseline carries a composition stage — the quick-world
 //!   `composition` block or the 10k-row `composition_large` block inside
 //!   `large` — the fresh run must carry the same stage, its per-record
@@ -38,10 +37,10 @@
 //!   (a defense that stops defending is a regression), and every
 //!   `calibrated_widen_*` row must keep `mean_candidates >= k` (the
 //!   block's own `k` line) — the floor the calibration exists to hold;
-//! * every composition/defense row's numbers must be finite: a NaN gain
-//!   would not even parse out of the baseline and would otherwise sail
+//! * every row's numbers must be finite: a NaN gain would otherwise sail
 //!   through the strict-monotonicity check (NaN comparisons are all
-//!   false), so an unparseable or non-finite row is itself a violation;
+//!   false), so a row holding a non-finite number is dropped from its
+//!   series and is itself a violation;
 //! * when the baseline carries a `robustness` block (`repro --quick
 //!   --faults <rate>`), the fresh run must carry it too, its zero-rate
 //!   row must have survived **zero** defects and match the committed
@@ -88,11 +87,10 @@
 //!   `[0, 1]`, empirical ε must be non-negative and *non-increasing in
 //!   `k`* within a `(R, defense)` group (stronger anonymity must not
 //!   leak more), and every defended cell's ε must stay at or below the
-//!   undefended ε at the same `(k, R)`. A non-finite cell value is
-//!   unparseable by construction and lands in the malformed-row
-//!   violations — on *either* side, so a NaN-poisoned committed block
-//!   refuses to gate instead of disarming these checks. When the
-//!   committed baseline carries the block at the same seed and
+//!   undefended ε at the same `(k, R)`. A non-finite cell lands in the
+//!   malformed-row violations — on *either* side, so a NaN-poisoned
+//!   committed block refuses to gate instead of disarming these checks.
+//!   When the committed baseline carries the block at the same seed and
 //!   populations, each matched `(k, R, defense)` cell is additionally
 //!   pinned within [`EVAL_DRIFT_SLACK`] — the cell is seeded and
 //!   deterministic, so larger drift is a behavior change;
@@ -106,13 +104,18 @@
 //!   `harvest.name_ms` histogram's observation count must reconcile
 //!   exactly with the `harvest.names` counter — both are written by the
 //!   same harvest tail, so a gap is dropped instrumentation;
-//! * a baseline that fails structural sanity — no config line, no
-//!   parseable stage rows, or a truncated file — is reported as a
-//!   violation instead of silently parsing to an empty [`Baseline`]
-//!   that gates nothing (a corrupt committed baseline must fail loudly,
-//!   not pass vacuously).
+//! * a baseline that fails structural sanity — not valid JSON (a file
+//!   torn at any byte, row boundaries included), no `config` block, no
+//!   stage rows, or a block that does not decode — is reported as a
+//!   violation instead of gating a half-read [`Baseline`] (a corrupt
+//!   committed baseline must fail loudly, not pass vacuously).
 
 use std::collections::BTreeMap;
+
+use fred_recover::json::{self, Value};
+use fred_recover::Artifact;
+
+use crate::perf::{CompositionBench, DefenseBenchRow, QuickBench};
 
 /// A stage may regress up to this factor before the gate fails (CI
 /// runners are noisy; superlinear blow-ups clear 3× immediately).
@@ -176,225 +179,14 @@ pub const EVAL_EPSILON_SLACK: f64 = 1e-3;
 /// libm skew is a behavior change.
 pub const EVAL_DRIFT_SLACK: f64 = 0.05;
 
-/// One composition-stage row: `(releases, disclosure_gain,
-/// mean_candidates)`.
-pub type CompositionRow = (usize, f64, f64);
-
-/// One `(k, R, defense)` cell of the hypothesis-testing `eval` block.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvalRow {
-    /// Anonymization level the cell's scenario was generated at.
-    pub k: usize,
-    /// Number of composed releases the adversary scored.
-    pub releases: usize,
-    /// Defense label (`"none"` for undefended cells).
-    pub defense: String,
-    /// Core targets scored (the positive population).
-    pub targets: usize,
-    /// Matched decoys scored through the identical path (the negatives).
-    pub decoys: usize,
-    /// Trapezoidal area under the ROC curve.
-    pub auc: f64,
-    /// True-positive rate at the largest threshold with FPR ≤ 10⁻³.
-    pub tpr_at_fpr3: f64,
-    /// Empirical ε (max log-likelihood ratio over thresholds, Laplace
-    /// corrected — finite by construction).
-    pub epsilon: f64,
-}
-
-/// One robustness-stage row, as parsed from a `robustness` block.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RobustnessRow {
-    /// Injected per-fault corruption rate (`0.0` is the passthrough
-    /// reference row the bit-identity gate pins).
-    pub fault_rate: f64,
-    /// Corruption placement: `uniform` (seeded random) or `targeted`
-    /// (adversarial, aimed at the highest-gain records). Old baselines
-    /// predate the field and parse as `uniform`. Envelope gates match
-    /// rows by `(fault_rate, mode)`, never by rate alone.
-    pub mode: String,
-    /// Harvest precision over the corrupted corpus.
-    pub harvest_precision: f64,
-    /// Harvest coverage over the corrupted corpus.
-    pub harvest_coverage: f64,
-    /// Composition disclosure gain under the same faults.
-    pub composition_gain: f64,
-    /// Total defects the tolerant pipeline survived (pages rejected +
-    /// rows skipped + fields imputed + workers restarted + shards lost).
-    pub defects: usize,
-    /// Pages the tolerant parser rejected outright.
-    pub pages_rejected: usize,
-    /// Rows dropped by the row-level salvage path.
-    pub rows_skipped: usize,
-    /// Field values imputed after cell-level damage.
-    pub fields_imputed: usize,
-    /// Harvest workers restarted after an injected panic.
-    pub workers_restarted: usize,
-    /// Search shards lost outright and degraded around. Baselines that
-    /// predate the shard-loss fault class parse as zero.
-    pub shards_lost: usize,
-}
-
-/// One defense-stage row, as parsed from a `composition_defense` block.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DefenseRow {
-    /// Stable policy label (`calibrated_widen_*` rows carry the
-    /// candidate-floor gate).
-    pub policy: String,
-    /// Number of composed releases.
-    pub releases: usize,
-    /// Disclosure gain the composition still achieves under the policy.
-    pub residual_gain: f64,
-    /// The undefended gain at the same release count.
-    pub undefended_gain: f64,
-    /// Mean effective anonymity under the defense.
-    pub mean_candidates: f64,
-    /// Widening price of the policy.
-    pub utility_cost: f64,
-}
-
-/// One per-stage row of a `recovery` ledger.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryRow {
-    /// Checkpoint stage name (`world_build`, `mdav`, ... `large`).
-    pub stage: String,
-    /// Compute attempts the stage took (1 means first-try success).
-    pub attempts: usize,
-    /// Retries after injected transients (`attempts - 1` when computed).
-    pub retries: usize,
-    /// Total deterministic backoff slept before success, in ms.
-    pub backoff_ms: f64,
-}
-
-/// The `recovery` ledger, as parsed from a checkpointed or faulted run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryBlock {
-    /// Config seed the retry trace is keyed to.
-    pub seed: u64,
-    /// Injected transient-failure rate per stage attempt.
-    pub transient_rate: f64,
-    /// Retry-policy attempt cap in force during the run.
-    pub max_attempts: usize,
-    /// Total retries across every stage — pinned exactly when the
-    /// committed ledger shares `(seed, transient_rate, max_attempts)`.
-    pub retries_total: usize,
-    /// Checkpoint files quarantined for failing integrity checks.
-    /// Baselines that predate the field parse as zero.
-    pub quarantined_total: usize,
-    /// Panics that escaped the runner. The whole point of the ledger:
-    /// this must be zero.
-    pub escaped_panics: usize,
-    /// Per-stage rows, in pipeline order.
-    pub rows: Vec<RecoveryRow>,
-}
-
-/// One per-stage row of a `profile` block.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileRow {
-    /// Runner stage name (`world_build`, `mdav`, ... `large`).
-    pub stage: String,
-    /// Stage span wall minus its child spans' wall, in ms.
-    pub self_ms: f64,
-    /// Spans in the stage's subtree (including itself).
-    pub spans: usize,
-}
-
-/// The `profile` block, as parsed from a self-profiled run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileBlock {
-    /// Whether the trace was taken in deterministic mode (durations
-    /// zeroed at source, counter rows omitted).
-    pub deterministic: bool,
-    /// Total spans opened during the run.
-    pub spans_total: u64,
-    /// Total events recorded during the run.
-    pub events_total: u64,
-    /// Structural digest of the span tree — pinned committed-vs-fresh.
-    pub span_tree_digest: String,
-    /// Calls the disabled-tracing overhead probe made.
-    pub overhead_probe_calls: u64,
-    /// Wall-clock of the probe loop, ms.
-    pub overhead_wall_ms: f64,
-    /// Probe wall as a percentage of the large block's stage wall — the
-    /// number gated under [`MAX_OBS_OVERHEAD_PCT`].
-    pub overhead_pct_of_large: f64,
-    /// Per-stage self-time rows.
-    pub stages: Vec<ProfileRow>,
-    /// Merged counter totals by name (empty on deterministic runs).
-    pub counters: BTreeMap<String, u64>,
-    /// Latency histograms by name → `(count, sum_ms)` (empty on
-    /// deterministic runs and on baselines that predate the rows).
-    pub hists: BTreeMap<String, (u64, f64)>,
-}
-
-/// The `large_100k` block, as parsed from a sharded-scale run
-/// (`repro --quick --size 100000`).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Sharded100kBlock {
-    /// World row count the block ran at.
-    pub size: usize,
-    /// Shards the run's `ShardPlan` derived for that size.
-    pub shards: usize,
-    /// Rows in the seeded equivalence subsample.
-    pub sample_rows: usize,
-    /// Peak resident set in MiB (`0.0` = unavailable/deterministic).
-    pub peak_rss_mb: f64,
-    /// Per-shard accounting rows `(shard, rows, pages, capped)`, as
-    /// written — the gate checks exactly `shards` of them, dense and
-    /// covering `size` rows, so a vanished shard row cannot pass
-    /// silently, and `capped` must agree with the plan derivation at
-    /// `size` (baselines that predate the flag parse as uncapped).
-    pub shard_rows: Vec<(usize, usize, usize, bool)>,
-    /// Equivalence digests by name (`harvest_sharded`,
-    /// `harvest_unsharded`, `mdav_*`, `intersect_*`), as hex strings.
-    pub digests: BTreeMap<String, String>,
-}
-
-/// Everything [`parse_baseline`] can recover from one baseline file.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// What [`parse_baseline`] recovers from one baseline file.
+#[derive(Debug, Clone, Default)]
 pub struct Baseline {
-    /// Stage name → wall milliseconds (small- and large-world stages share
-    /// one namespace; large stages carry a `_large` suffix by construction).
-    pub stage_wall_ms: BTreeMap<String, f64>,
-    /// `speedup_batch_vs_naive`, when present.
-    pub speedup_batch_vs_naive: Option<f64>,
-    /// `speedup_harvest_parallel_vs_single` (older baselines:
-    /// `speedup_harvest_parallel_vs_seq`), when present.
-    pub speedup_harvest_parallel_vs_single: Option<f64>,
-    /// `cores` recorded in the config block, when present.
-    pub cores: Option<usize>,
-    /// `cores` recorded inside the `large` block, when present — the
-    /// count the large-world gates key off.
-    pub large_cores: Option<usize>,
-    /// Quick-world composition rows, ascending in releases, when present.
-    pub composition: Vec<CompositionRow>,
-    /// Large-world (`composition_large`) rows, when present.
-    pub composition_large: Vec<CompositionRow>,
-    /// Defense rows (policy-major), when present.
-    pub composition_defense: Vec<DefenseRow>,
-    /// `k` recorded in the `composition_defense` block, when present —
-    /// the floor the `calibrated_widen_*` candidate gate checks against.
-    pub defense_k: Option<usize>,
-    /// Hypothesis-testing eval cells, when present (undefended cells
-    /// first, then one row per defense policy).
-    pub eval: Vec<EvalRow>,
-    /// Robustness rows, ascending in fault rate, when present.
-    pub robustness: Vec<RobustnessRow>,
-    /// The sharded-scale `large_100k` block, when present.
-    pub large_100k: Option<Sharded100kBlock>,
-    /// `seed` recorded in the config block, when present — the
-    /// `large_100k` digest pin only binds runs of the same seed.
-    pub seed: Option<u64>,
-    /// The recovery ledger, when present.
-    pub recovery: Option<RecoveryBlock>,
-    /// The observability profile block, when present.
-    pub profile: Option<ProfileBlock>,
-    /// `deterministic` recorded in the config block; `None` for
-    /// baselines that predate the field (equivalent to `false`).
-    pub deterministic: Option<bool>,
-    /// Composition/defense row lines that carried an unparseable or
-    /// non-finite value — each one is a gate violation when found in a
-    /// fresh run.
+    /// The decoded bench, minus every row that held a non-finite number
+    /// (empty when `structural_errors` is not).
+    pub bench: QuickBench,
+    /// Rows (and block fields) that held a non-finite number, rendered
+    /// as JSON — each one is a gate violation on either side of the diff.
     pub malformed_rows: Vec<String>,
     /// Structural sanity failures — a file with any of these is corrupt
     /// (truncated write, wrong file, hand-edit gone wrong) and must not
@@ -412,495 +204,93 @@ pub struct CompareReport {
     pub violations: Vec<String>,
 }
 
-/// Pulls the quoted value following `"key":` out of a line, if present.
-fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let rest = &line[line.find(&needle)? + needle.len()..];
-    let open = rest.find('"')?;
-    let rest = &rest[open + 1..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// Pulls the numeric value following `"key":` out of a line, if present.
-fn num_field(line: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = line[line.find(&needle)? + needle.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Parses a `BENCH_sweep.json` produced by
-/// [`QuickBench::to_json`](crate::perf::QuickBench::to_json).
-///
-/// The scan is line-oriented over that one writer's stable shape; the
-/// only structure it tracks is which block it is inside — `large` (for
-/// its `cores` line) and whichever composition block (`composition` vs
-/// `composition_large`) opened most recently (for attributing rows).
-pub fn parse_baseline(json: &str) -> Baseline {
-    /// Which composition block subsequent rows belong to.
-    enum Series {
-        Quick,
-        Large,
-        Defense,
-    }
+/// Parses a `BENCH_sweep.json` written by
+/// [`QuickBench::to_json`](crate::perf::QuickBench::to_json): JSON parse,
+/// then the non-finite-row walk, then `QuickBench::from_value`.
+pub fn parse_baseline(text: &str) -> Baseline {
     let mut out = Baseline::default();
-    let mut in_large = false;
-    let mut in_large_100k = false;
-    let mut saw_config = false;
-    let mut series = Series::Quick;
-    for line in json.lines() {
-        if line.contains("\"config\":") {
-            saw_config = true;
-            if let Some(seed) = num_field(line, "seed") {
-                out.seed = Some(seed as u64);
-            }
-            if line.contains("\"deterministic\": true") {
-                out.deterministic = Some(true);
-            } else if line.contains("\"deterministic\": false") {
-                out.deterministic = Some(false);
-            }
-        }
-        if line.contains("\"large\":") {
-            in_large = true;
-        }
-        if line.contains("\"large_100k\":") {
-            // The writer emits the sharded block after (and outside)
-            // `large`, so its header closes that block's cores scope.
-            in_large_100k = true;
-            in_large = false;
-            out.large_100k = Some(Sharded100kBlock::default());
-        }
-        if line.contains("\"composition_defense\":") {
-            series = Series::Defense;
-            in_large = false;
-            in_large_100k = false;
-        } else if line.contains("\"composition_large\":") {
-            series = Series::Large;
-        } else if line.contains("\"composition\":") {
-            // The quick-world block closes the large block (the writer
-            // emits it after `large`).
-            series = Series::Quick;
-            in_large = false;
-            in_large_100k = false;
-        }
-        // The sharded block's scalar header lines, shard accounting rows
-        // and digest line. Stage rows inside it fall through to the
-        // shared `"name"`/`"wall_ms"` branch below: the 100k stages live
-        // in the same timing namespace as every other stage.
-        if in_large_100k {
-            if let Some(big) = &mut out.large_100k {
-                if line.contains("\"digests\":") {
-                    let mut complete = true;
-                    for key in [
-                        "harvest_sharded",
-                        "harvest_unsharded",
-                        "mdav_sharded",
-                        "mdav_unsharded",
-                        "intersect_sharded",
-                        "intersect_unsharded",
-                    ] {
-                        match str_field(line, key) {
-                            Some(hex) => {
-                                big.digests.insert(key.to_owned(), hex.to_owned());
-                            }
-                            None => complete = false,
-                        }
-                    }
-                    if !complete {
-                        out.malformed_rows.push(line.trim().to_owned());
-                    }
-                    // The digest line is the block's final field.
-                    in_large_100k = false;
-                    continue;
-                }
-                if line.contains("\"shard\":") {
-                    match (
-                        num_field(line, "shard"),
-                        num_field(line, "rows"),
-                        num_field(line, "pages"),
-                    ) {
-                        (Some(shard), Some(rows), Some(pages)) => {
-                            // Pre-cap baselines carry no flag; every
-                            // size they ran at derived exactly.
-                            let capped = line.contains("\"capped\": true");
-                            big.shard_rows.push((
-                                shard as usize,
-                                rows as usize,
-                                pages as usize,
-                                capped,
-                            ));
-                        }
-                        _ => out.malformed_rows.push(line.trim().to_owned()),
-                    }
-                    continue;
-                }
-                if !line.contains("\"name\":") {
-                    if let Some(v) = num_field(line, "size") {
-                        big.size = v as usize;
-                    }
-                    if let Some(v) = num_field(line, "shards") {
-                        big.shards = v as usize;
-                    }
-                    if let Some(v) = num_field(line, "sample_rows") {
-                        big.sample_rows = v as usize;
-                    }
-                    if let Some(v) = num_field(line, "peak_rss_mb") {
-                        if v.is_finite() {
-                            big.peak_rss_mb = v;
-                        } else {
-                            out.malformed_rows.push(line.trim().to_owned());
-                        }
-                    }
-                }
-            }
-        }
-        if matches!(series, Series::Defense) && line.contains("\"overlap\":") {
-            if let Some(k) = num_field(line, "k") {
-                out.defense_k = Some(k as usize);
-            }
-        }
-        if let (Some(name), Some(wall)) = (str_field(line, "name"), num_field(line, "wall_ms")) {
-            out.stage_wall_ms.insert(name.to_owned(), wall);
-            continue;
-        }
-        if let Some(v) = num_field(line, "speedup_batch_vs_naive") {
-            out.speedup_batch_vs_naive = Some(v);
-        }
-        // Current key first; pre-PR-4 baselines recorded the ratio
-        // against the exhaustive sequential reference under the old name.
-        if let Some(v) = num_field(line, "speedup_harvest_parallel_vs_single")
-            .or_else(|| num_field(line, "speedup_harvest_parallel_vs_seq"))
-        {
-            out.speedup_harvest_parallel_vs_single = Some(v);
-        }
-        if let Some(v) = num_field(line, "cores") {
-            if line.contains("\"config\"") {
-                out.cores = Some(v as usize);
-            } else if in_large {
-                out.large_cores = Some(v as usize);
-            }
-        }
-        if line.contains("\"fault_rate\":") {
-            let fields = (
-                num_field(line, "fault_rate"),
-                num_field(line, "harvest_precision"),
-                num_field(line, "harvest_coverage"),
-                num_field(line, "composition_gain"),
-                num_field(line, "pages_rejected"),
-                num_field(line, "rows_skipped"),
-                num_field(line, "fields_imputed"),
-                num_field(line, "workers_restarted"),
-            );
-            match fields {
-                (
-                    Some(rate),
-                    Some(prec),
-                    Some(cov),
-                    Some(gain),
-                    Some(pages),
-                    Some(rows),
-                    Some(cells),
-                    Some(workers),
-                ) if rate.is_finite()
-                    && prec.is_finite()
-                    && cov.is_finite()
-                    && gain.is_finite() =>
-                {
-                    // Pre-shard-loss baselines carry no shards_lost
-                    // field; every row they have lost zero shards.
-                    let shards = num_field(line, "shards_lost").unwrap_or(0.0);
-                    out.robustness.push(RobustnessRow {
-                        fault_rate: rate,
-                        // Pre-targeted-corruption baselines carry no
-                        // mode field; every row they have is uniform.
-                        mode: str_field(line, "mode").unwrap_or("uniform").to_owned(),
-                        harvest_precision: prec,
-                        harvest_coverage: cov,
-                        composition_gain: gain,
-                        defects: (pages + rows + cells + workers + shards) as usize,
-                        pages_rejected: pages as usize,
-                        rows_skipped: rows as usize,
-                        fields_imputed: cells as usize,
-                        workers_restarted: workers as usize,
-                        shards_lost: shards as usize,
-                    });
-                }
-                _ => out.malformed_rows.push(line.trim().to_owned()),
-            }
-            continue;
-        }
-        // The recovery ledger header — keyed off `transient_rate`, which
-        // no other block carries (the robustness header's rate line is
-        // `max_rate`).
-        if line.contains("\"transient_rate\":") {
-            let fields = (
-                num_field(line, "seed"),
-                num_field(line, "transient_rate"),
-                num_field(line, "max_attempts"),
-                num_field(line, "retries_total"),
-                num_field(line, "escaped_panics"),
-            );
-            match fields {
-                (Some(seed), Some(rate), Some(max_a), Some(total), Some(esc))
-                    if rate.is_finite() =>
-                {
-                    out.recovery = Some(RecoveryBlock {
-                        seed: seed as u64,
-                        transient_rate: rate,
-                        max_attempts: max_a as usize,
-                        retries_total: total as usize,
-                        // Pre-observability baselines predate the field.
-                        quarantined_total: num_field(line, "quarantined_total")
-                            .map_or(0, |q| q as usize),
-                        escaped_panics: esc as usize,
-                        rows: Vec::new(),
-                    });
-                }
-                _ => out.malformed_rows.push(line.trim().to_owned()),
-            }
-            continue;
-        }
-        // A recovery stage row — `"stage"` + `"attempts"` together occur
-        // nowhere else (timing stages are keyed `"name"`).
-        if line.contains("\"stage\":") && line.contains("\"attempts\":") {
-            let fields = (
-                str_field(line, "stage"),
-                num_field(line, "attempts"),
-                num_field(line, "retries"),
-                num_field(line, "backoff_ms"),
-            );
-            match (&mut out.recovery, fields) {
-                (Some(rec), (Some(stage), Some(att), Some(ret), Some(back)))
-                    if back.is_finite() =>
-                {
-                    rec.rows.push(RecoveryRow {
-                        stage: stage.to_owned(),
-                        attempts: att as usize,
-                        retries: ret as usize,
-                        backoff_ms: back,
-                    });
-                }
-                _ => out.malformed_rows.push(line.trim().to_owned()),
-            }
-            continue;
-        }
-        // The profile header — keyed off `spans_total`, which no other
-        // block carries.
-        if line.contains("\"spans_total\":") {
-            let fields = (
-                num_field(line, "spans_total"),
-                num_field(line, "events_total"),
-                str_field(line, "span_tree_digest"),
-            );
-            match fields {
-                (Some(spans), Some(events), Some(digest)) => {
-                    out.profile = Some(ProfileBlock {
-                        deterministic: line.contains("\"deterministic\": true"),
-                        spans_total: spans as u64,
-                        events_total: events as u64,
-                        span_tree_digest: digest.to_owned(),
-                        overhead_probe_calls: 0,
-                        overhead_wall_ms: 0.0,
-                        overhead_pct_of_large: 0.0,
-                        stages: Vec::new(),
-                        counters: BTreeMap::new(),
-                        hists: BTreeMap::new(),
-                    });
-                }
-                _ => out.malformed_rows.push(line.trim().to_owned()),
-            }
-            continue;
-        }
-        // The profile's overhead line — `probe_calls` is unique to it.
-        if line.contains("\"probe_calls\":") {
-            let fields = (
-                num_field(line, "probe_calls"),
-                num_field(line, "wall_ms"),
-                num_field(line, "pct_of_large"),
-            );
-            match (&mut out.profile, fields) {
-                (Some(prof), (Some(calls), Some(wall), Some(pct)))
-                    if wall.is_finite() && pct.is_finite() =>
-                {
-                    prof.overhead_probe_calls = calls as u64;
-                    prof.overhead_wall_ms = wall;
-                    prof.overhead_pct_of_large = pct;
-                }
-                _ => out.malformed_rows.push(line.trim().to_owned()),
-            }
-            continue;
-        }
-        // A profile stage row — `"stage"` + `"self_ms"` together occur
-        // nowhere else (recovery rows pair `"stage"` with `"attempts"`).
-        if line.contains("\"stage\":") && line.contains("\"self_ms\":") {
-            let fields = (
-                str_field(line, "stage"),
-                num_field(line, "self_ms"),
-                num_field(line, "spans"),
-            );
-            match (&mut out.profile, fields) {
-                (Some(prof), (Some(stage), Some(self_ms), Some(spans))) if self_ms.is_finite() => {
-                    prof.stages.push(ProfileRow {
-                        stage: stage.to_owned(),
-                        self_ms,
-                        spans: spans as usize,
-                    });
-                }
-                _ => out.malformed_rows.push(line.trim().to_owned()),
-            }
-            continue;
-        }
-        // A profile counter row.
-        if line.contains("\"counter\":") {
-            let fields = (str_field(line, "counter"), num_field(line, "value"));
-            match (&mut out.profile, fields) {
-                (Some(prof), (Some(name), Some(value))) => {
-                    prof.counters.insert(name.to_owned(), value as u64);
-                }
-                _ => out.malformed_rows.push(line.trim().to_owned()),
-            }
-            continue;
-        }
-        // A profile histogram row — `"hist"` occurs nowhere else.
-        if line.contains("\"hist\":") {
-            let fields = (
-                str_field(line, "hist"),
-                num_field(line, "count"),
-                num_field(line, "sum_ms"),
-            );
-            match (&mut out.profile, fields) {
-                (Some(prof), (Some(name), Some(count), Some(sum))) if sum.is_finite() => {
-                    prof.hists.insert(name.to_owned(), (count as u64, sum));
-                }
-                _ => out.malformed_rows.push(line.trim().to_owned()),
-            }
-            continue;
-        }
-        // A hypothesis-testing eval cell — `"auc"` occurs nowhere else.
-        // A NaN metric does not survive `num_field` (the writer renders
-        // it as `NaN`, which the numeric scan rejects), so a poisoned
-        // cell lands in `malformed_rows` and refuses to gate instead of
-        // slipping past the comparison gates below.
-        if line.contains("\"auc\":") {
-            let fields = (
-                num_field(line, "k"),
-                num_field(line, "releases"),
-                str_field(line, "defense"),
-                num_field(line, "targets"),
-                num_field(line, "decoys"),
-                num_field(line, "auc"),
-                num_field(line, "tpr_at_fpr3"),
-                num_field(line, "epsilon"),
-            );
-            match fields {
-                (
-                    Some(k),
-                    Some(releases),
-                    Some(defense),
-                    Some(targets),
-                    Some(decoys),
-                    Some(auc),
-                    Some(tpr),
-                    Some(eps),
-                ) if auc.is_finite() && tpr.is_finite() && eps.is_finite() => {
-                    out.eval.push(EvalRow {
-                        k: k as usize,
-                        releases: releases as usize,
-                        defense: defense.to_owned(),
-                        targets: targets as usize,
-                        decoys: decoys as usize,
-                        auc,
-                        tpr_at_fpr3: tpr,
-                        epsilon: eps,
-                    });
-                }
-                _ => out.malformed_rows.push(line.trim().to_owned()),
-            }
-            continue;
-        }
-        if line.contains("\"residual_gain\":") {
-            let fields = (
-                str_field(line, "policy"),
-                num_field(line, "releases"),
-                num_field(line, "residual_gain"),
-                num_field(line, "undefended_gain"),
-                num_field(line, "mean_candidates"),
-                num_field(line, "utility_cost"),
-            );
-            match fields {
-                (Some(policy), Some(r), Some(res), Some(undef), Some(cand), Some(cost))
-                    if res.is_finite()
-                        && undef.is_finite()
-                        && cand.is_finite()
-                        && cost.is_finite() =>
-                {
-                    out.composition_defense.push(DefenseRow {
-                        policy: policy.to_owned(),
-                        releases: r as usize,
-                        residual_gain: res,
-                        undefended_gain: undef,
-                        mean_candidates: cand,
-                        utility_cost: cost,
-                    });
-                }
-                _ => out.malformed_rows.push(line.trim().to_owned()),
-            }
-            continue;
-        }
-        if line.contains("\"disclosure_gain\":") {
-            let fields = (
-                num_field(line, "releases"),
-                num_field(line, "disclosure_gain"),
-                num_field(line, "mean_candidates"),
-                num_field(line, "estimate_gain"),
-            );
-            match fields {
-                (Some(r), Some(gain), Some(cand), Some(est))
-                    if gain.is_finite() && cand.is_finite() && est.is_finite() =>
-                {
-                    let row = (r as usize, gain, cand);
-                    match series {
-                        Series::Quick => out.composition.push(row),
-                        Series::Large => out.composition_large.push(row),
-                        Series::Defense => out.malformed_rows.push(line.trim().to_owned()),
-                    }
-                }
-                _ => out.malformed_rows.push(line.trim().to_owned()),
-            }
-        }
-    }
-    if !saw_config {
+    let mut value = json::parse(text).unwrap_or_else(|| {
         out.structural_errors
-            .push("no config line found — not a BENCH_sweep.json".into());
-    }
-    if out.stage_wall_ms.is_empty() {
+            .push("not valid JSON (truncated write?)".into());
+        Value::Null
+    });
+    drop_non_finite(&mut value, &mut out.malformed_rows);
+    if value.get("config").is_none() {
         out.structural_errors
-            .push("no parseable stage rows found".into());
+            .push("no config block found — not a BENCH_sweep.json".into());
     }
-    if !json.trim_end().ends_with('}') {
-        out.structural_errors
-            .push("file does not end with a closing brace (truncated write?)".into());
+    if value
+        .get("stages")
+        .and_then(Value::as_arr)
+        .is_none_or(|stages| stages.is_empty())
+    {
+        out.structural_errors.push("no stage rows found".into());
+    }
+    if out.structural_errors.is_empty() {
+        match QuickBench::from_value(&value) {
+            Some(bench) => out.bench = bench,
+            None => out
+                .structural_errors
+                .push("a block is missing a field or names an unknown stage or mode".into()),
+        }
     }
     out
 }
 
+/// Drops every row (an object inside an array) that holds a non-finite
+/// number from its series, and reports it; a non-finite field of a
+/// block itself is reported too. NaN compares false against everything,
+/// so a row left in would pass every ordering gate it should fail.
+fn drop_non_finite(value: &mut Value, malformed: &mut Vec<String>) {
+    fn finite(value: &Value) -> bool {
+        match value {
+            Value::Num(n) => n.is_finite(),
+            Value::Arr(items) => items.iter().all(finite),
+            Value::Obj(pairs) => pairs.iter().all(|(_, v)| finite(v)),
+            _ => true,
+        }
+    }
+    match value {
+        Value::Arr(items) => items.retain_mut(|item| {
+            if matches!(item, Value::Obj(_)) && !finite(item) {
+                malformed.push(json::render(item, &|_| None));
+                return false;
+            }
+            drop_non_finite(item, malformed);
+            true
+        }),
+        Value::Obj(pairs) => {
+            for (key, v) in pairs {
+                if matches!(v, Value::Num(n) if !n.is_finite()) {
+                    malformed.push(format!("\"{key}\": {}", json::render(v, &|_| None)));
+                }
+                drop_non_finite(v, malformed);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// The rows of an optional block; empty when the block is absent.
+fn block_rows<B, R>(block: Option<&B>, rows: fn(&B) -> &Vec<R>) -> &[R] {
+    block.map_or(&[], |b| rows(b))
+}
+
 /// Diffs a fresh baseline against the committed one under the gate rules.
 pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareReport {
-    let committed = parse_baseline(committed_json);
-    let fresh = parse_baseline(fresh_json);
+    let committed_parse = parse_baseline(committed_json);
+    let fresh_parse = parse_baseline(fresh_json);
     let mut report = CompareReport::default();
 
     // Structural corruption disarms every gate below (an empty parse
     // trivially has no stages to regress, no blocks to lose), so it must
     // refuse to gate, loudly, before anything else runs.
-    for err in &committed.structural_errors {
+    for err in &committed_parse.structural_errors {
         report.violations.push(format!(
             "committed baseline is structurally corrupt (regenerate it): {err}"
         ));
     }
-    for err in &fresh.structural_errors {
+    for err in &fresh_parse.structural_errors {
         report
             .violations
             .push(format!("fresh baseline is structurally corrupt: {err}"));
@@ -908,11 +298,12 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
     if !report.violations.is_empty() {
         return report;
     }
+    let (committed, fresh) = (&committed_parse.bench, &fresh_parse.bench);
 
     // A checkpointed run zeroes every wall-clock at source so resume can
     // be bit-identical; its timings are all sentinel zeros.
-    let fresh_det = fresh.deterministic == Some(true);
-    if committed.deterministic == Some(true) {
+    let fresh_det = fresh.deterministic;
+    if committed.deterministic {
         report.violations.push(
             "committed baseline is a deterministic (checkpointed) run — its zeroed \
              timings disarm every timing gate; regenerate it without --checkpoint-dir"
@@ -925,21 +316,23 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
             .notes
             .push("fresh run is deterministic (checkpointed): timing gates skipped".into());
     } else {
-        match fresh.speedup_batch_vs_naive {
-            Some(v) if v < MIN_BATCH_SPEEDUP => report.violations.push(format!(
+        let v = fresh.speedup_batch_vs_naive;
+        if v < MIN_BATCH_SPEEDUP {
+            report.violations.push(format!(
                 "speedup_batch_vs_naive fell to {v:.2} (must stay >= {MIN_BATCH_SPEEDUP:.1})"
-            )),
-            Some(v) => report
+            ));
+        } else {
+            report
                 .notes
-                .push(format!("speedup_batch_vs_naive = {v:.2}")),
-            None => report
-                .violations
-                .push("fresh baseline carries no speedup_batch_vs_naive".into()),
+                .push(format!("speedup_batch_vs_naive = {v:.2}"));
         }
     }
 
-    for (name, &committed_ms) in &committed.stage_wall_ms {
-        let Some(&fresh_ms) = fresh.stage_wall_ms.get(name) else {
+    let fresh_walls: BTreeMap<&str, f64> =
+        fresh.all_stages().map(|s| (s.name, s.wall_ms)).collect();
+    for stage in committed.all_stages() {
+        let (name, committed_ms) = (stage.name, stage.wall_ms);
+        let Some(&fresh_ms) = fresh_walls.get(name) else {
             report.violations.push(format!(
                 "stage `{name}` disappeared from the fresh baseline"
             ));
@@ -963,45 +356,53 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
     // pool grow with an added release. The quick-world block and the
     // 10k-row `composition_large` block gate independently.
     let gate_series = |label: &str,
-                       committed: &[CompositionRow],
-                       fresh: &[CompositionRow],
+                       committed: Option<&CompositionBench>,
+                       fresh: Option<&CompositionBench>,
                        report: &mut CompareReport| {
+        let committed = block_rows(committed, |c| &c.rows);
+        let fresh = block_rows(fresh, |c| &c.rows);
         if !committed.is_empty() && fresh.is_empty() {
             report
                 .violations
                 .push(format!("{label} stage disappeared from the fresh baseline"));
         }
         for pair in fresh.windows(2) {
-            let ((r0, g0, c0), (r1, g1, c1)) = (pair[0], pair[1]);
-            if g1 <= g0 {
+            let (a, b) = (&pair[0], &pair[1]);
+            if b.disclosure_gain <= a.disclosure_gain {
                 report.violations.push(format!(
-                    "{label} disclosure gain not strictly increasing: R={r0} -> {g0:.1}, \
-                         R={r1} -> {g1:.1}"
+                    "{label} disclosure gain not strictly increasing: R={} -> {:.1}, \
+                         R={} -> {:.1}",
+                    a.releases, a.disclosure_gain, b.releases, b.disclosure_gain
                 ));
             }
-            if c1 > c0 + 1e-9 {
+            if b.mean_candidates > a.mean_candidates + 1e-9 {
                 report.violations.push(format!(
-                    "{label} candidate count rose with an added release: R={r0} -> {c0:.2}, \
-                         R={r1} -> {c1:.2}"
+                    "{label} candidate count rose with an added release: R={} -> {:.2}, \
+                         R={} -> {:.2}",
+                    a.releases, a.mean_candidates, b.releases, b.mean_candidates
                 ));
             }
         }
-        if let Some((r, last_gain, _)) = fresh.last() {
+        if let Some(last) = fresh.last() {
             report.notes.push(format!(
-                "{label} disclosure gain at R={r} is {last_gain:.1}"
+                "{label} disclosure gain at R={} is {:.1}",
+                last.releases, last.disclosure_gain
             ));
         }
     };
     gate_series(
         "composition",
-        &committed.composition,
-        &fresh.composition,
+        committed.composition.as_ref(),
+        fresh.composition.as_ref(),
         &mut report,
     );
     gate_series(
         "composition_large",
-        &committed.composition_large,
-        &fresh.composition_large,
+        committed
+            .large
+            .as_ref()
+            .and_then(|l| l.composition.as_ref()),
+        fresh.large.as_ref().and_then(|l| l.composition.as_ref()),
         &mut report,
     );
     // The defense gates: a deployed policy that stops defending is a
@@ -1009,7 +410,9 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
     // must keep its residual gain strictly below the undefended gain,
     // and calibrated widening must hold the candidate floor it is named
     // for at every R.
-    if !committed.composition_defense.is_empty() && fresh.composition_defense.is_empty() {
+    let committed_defense = block_rows(committed.composition_defense.as_ref(), |d| &d.rows);
+    let fresh_defense = block_rows(fresh.composition_defense.as_ref(), |d| &d.rows);
+    if !committed_defense.is_empty() && fresh_defense.is_empty() {
         report
             .violations
             .push("composition_defense stage disappeared from the fresh baseline".into());
@@ -1017,12 +420,9 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
     // A single policy vanishing from a still-present block is the same
     // regression as the block vanishing — the per-policy gates below
     // only see the fresh run's policies, so guard the roster here.
-    if !fresh.composition_defense.is_empty() {
-        for row in &committed.composition_defense {
-            if !fresh
-                .composition_defense
-                .iter()
-                .any(|f| f.policy == row.policy)
+    if !fresh_defense.is_empty() {
+        for row in committed_defense {
+            if !fresh_defense.iter().any(|f| f.policy == row.policy)
                 && !report.violations.iter().any(|v| v.contains(&row.policy))
             {
                 report.violations.push(format!(
@@ -1032,57 +432,48 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
             }
         }
     }
-    let mut policies: Vec<&str> = Vec::new();
-    for row in &fresh.composition_defense {
-        if !policies.contains(&row.policy.as_str()) {
-            policies.push(&row.policy);
-        }
-    }
-    for policy in policies {
-        let rows: Vec<&DefenseRow> = fresh
-            .composition_defense
-            .iter()
-            .filter(|r| r.policy == policy)
-            .collect();
-        // `policies` was built from the row list, so a group is never
-        // empty — but this path also runs against a *committed* baseline
-        // someone may have hand-edited, and the committed side must fail
-        // structurally, never panic the gate binary.
-        let Some(last) = rows.iter().max_by_key(|r| r.releases) else {
-            continue;
-        };
-        if last.releases > 1 {
-            if last.residual_gain >= last.undefended_gain {
-                report.violations.push(format!(
-                    "defense `{policy}` residual gain {:.1} is not strictly below the \
-                     undefended gain {:.1} at R={}",
-                    last.residual_gain, last.undefended_gain, last.releases
-                ));
-            } else {
-                report.notes.push(format!(
-                    "defense `{policy}`: residual gain {:.1} vs undefended {:.1} at R={} \
-                     (utility cost {:.1})",
-                    last.residual_gain, last.undefended_gain, last.releases, last.utility_cost
-                ));
+    if let Some(defense) = &fresh.composition_defense {
+        let mut policies: Vec<&str> = Vec::new();
+        for row in &defense.rows {
+            if !policies.contains(&row.policy.as_str()) {
+                policies.push(&row.policy);
             }
         }
-        if policy.starts_with("calibrated_widen") {
-            match fresh.defense_k {
-                Some(k) => {
-                    for row in &rows {
-                        if row.mean_candidates + 1e-9 < k as f64 {
-                            report.violations.push(format!(
-                                "defense `{policy}` mean candidates fell to {:.2} at R={} \
-                                 (must stay >= k = {k})",
-                                row.mean_candidates, row.releases
-                            ));
-                        }
+        for policy in policies {
+            let rows: Vec<&DefenseBenchRow> =
+                defense.rows.iter().filter(|r| r.policy == policy).collect();
+            // `policies` was built from the row list, so a group is never
+            // empty — but this path also runs against a *committed* baseline
+            // someone may have hand-edited, and the committed side must fail
+            // structurally, never panic the gate binary.
+            let Some(last) = rows.iter().max_by_key(|r| r.releases) else {
+                continue;
+            };
+            if last.releases > 1 {
+                if last.residual_gain >= last.undefended_gain {
+                    report.violations.push(format!(
+                        "defense `{policy}` residual gain {:.1} is not strictly below the \
+                         undefended gain {:.1} at R={}",
+                        last.residual_gain, last.undefended_gain, last.releases
+                    ));
+                } else {
+                    report.notes.push(format!(
+                        "defense `{policy}`: residual gain {:.1} vs undefended {:.1} at R={} \
+                         (utility cost {:.1})",
+                        last.residual_gain, last.undefended_gain, last.releases, last.utility_cost
+                    ));
+                }
+            }
+            if policy.starts_with("calibrated_widen") {
+                for row in &rows {
+                    if row.mean_candidates + 1e-9 < defense.k as f64 {
+                        report.violations.push(format!(
+                            "defense `{policy}` mean candidates fell to {:.2} at R={} \
+                             (must stay >= k = {})",
+                            row.mean_candidates, row.releases, defense.k
+                        ));
                     }
                 }
-                None => report.violations.push(format!(
-                    "defense `{policy}` rows present but the composition_defense block \
-                     carries no k line to gate the candidate floor against"
-                )),
             }
         }
     }
@@ -1092,13 +483,15 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
     // the block — only the cross-run drift pin needs a committed
     // counterpart (and says so in a note when it cannot bind, so the
     // gate is never silently vacuous).
-    if !committed.eval.is_empty() && fresh.eval.is_empty() {
+    let committed_eval = block_rows(committed.eval.as_ref(), |e| &e.rows);
+    let fresh_eval = block_rows(fresh.eval.as_ref(), |e| &e.rows);
+    if !committed_eval.is_empty() && fresh_eval.is_empty() {
         report
             .violations
             .push("eval (hypothesis-testing) block disappeared from the fresh baseline".into());
     }
-    if !fresh.eval.is_empty() {
-        for row in &fresh.eval {
+    if !fresh_eval.is_empty() {
+        for row in fresh_eval {
             if row.targets == 0 || row.decoys == 0 {
                 report.violations.push(format!(
                     "eval cell k={} R={} `{}` scored an empty population ({} targets, \
@@ -1135,8 +528,8 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
         }
         // Stronger anonymity must not leak more: within a (R, defense)
         // group, ε is non-increasing in k.
-        for a in &fresh.eval {
-            for b in &fresh.eval {
+        for a in fresh_eval {
+            for b in fresh_eval {
                 if a.defense == b.defense
                     && a.releases == b.releases
                     && a.k < b.k
@@ -1152,9 +545,8 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
         }
         // A deployed defense must not make the attacker's test better
         // than the undefended reference at the same cell.
-        for row in fresh.eval.iter().filter(|r| r.defense != "none") {
-            match fresh
-                .eval
+        for row in fresh_eval.iter().filter(|r| r.defense != "none") {
+            match fresh_eval
                 .iter()
                 .find(|u| u.defense == "none" && u.k == row.k && u.releases == row.releases)
             {
@@ -1177,20 +569,20 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
         }
         // Cross-run drift pin: the cell is a pure function of (seed,
         // size, defense), so matched cells must agree across runs.
-        if committed.eval.is_empty() {
+        if committed_eval.is_empty() {
             report.notes.push(format!(
                 "committed baseline predates the eval block: in-run eval gates applied \
                  over {} cell(s); cross-run drift pin starts once the baseline is \
                  regenerated",
-                fresh.eval.len()
+                fresh_eval.len()
             ));
         } else if committed.seed != fresh.seed {
             report.notes.push(
                 "eval seed changed: cross-run drift pin skipped, in-run gates still applied".into(),
             );
         } else {
-            for row in &fresh.eval {
-                let Some(base) = committed.eval.iter().find(|b| {
+            for row in fresh_eval {
+                let Some(base) = committed_eval.iter().find(|b| {
                     b.k == row.k
                         && b.releases == row.releases
                         && b.defense == row.defense
@@ -1215,15 +607,14 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                 }
             }
         }
-        if let Some(top) = fresh
-            .eval
+        if let Some(top) = fresh_eval
             .iter()
             .filter(|r| r.defense == "none")
             .max_by_key(|r| (r.k, r.releases))
         {
             report.notes.push(format!(
                 "eval: {} cell(s); undefended k={} R={} reaches AUC {:.4}, ε {:.4}",
-                fresh.eval.len(),
+                fresh_eval.len(),
                 top.k,
                 top.releases,
                 top.auc,
@@ -1237,25 +628,27 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
     // noise), and faulted rows must stay inside the committed envelope —
     // corruption is seeded, so rate-matched rows measure the identical
     // injected pattern and legitimately differ only through code changes.
-    if !committed.robustness.is_empty() && fresh.robustness.is_empty() {
+    let committed_rob = block_rows(committed.robustness.as_ref(), |r| &r.rows);
+    let fresh_rob = block_rows(fresh.robustness.as_ref(), |r| &r.rows);
+    if !committed_rob.is_empty() && fresh_rob.is_empty() {
         report
             .violations
             .push("robustness stage disappeared from the fresh baseline".into());
     }
-    if !fresh.robustness.is_empty() {
-        match fresh.robustness.iter().find(|r| r.fault_rate == 0.0) {
+    if !fresh_rob.is_empty() {
+        match fresh_rob.iter().find(|r| r.fault_rate == 0.0) {
             None => report
                 .violations
                 .push("robustness block carries no zero-fault reference row".into()),
             Some(zero) => {
-                if zero.defects != 0 {
+                if zero.defects() != 0 {
                     report.violations.push(format!(
                         "zero-fault robustness row survived {} defect(s) — the fault-free \
                          path must be an exact passthrough",
-                        zero.defects
+                        zero.defects()
                     ));
                 }
-                if let Some(pinned) = committed.robustness.iter().find(|r| r.fault_rate == 0.0) {
+                if let Some(pinned) = committed_rob.iter().find(|r| r.fault_rate == 0.0) {
                     if zero != pinned {
                         report.violations.push(format!(
                             "zero-fault robustness row drifted from the committed baseline \
@@ -1271,12 +664,11 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
         // budget), so envelope rows pair on `(rate, mode)` — matching on
         // rate alone would gate the adversarial row against the much
         // gentler average-case numbers.
-        for row in &fresh.robustness {
+        for row in fresh_rob {
             if row.fault_rate == 0.0 {
                 continue;
             }
-            let Some(base) = committed
-                .robustness
+            let Some(base) = committed_rob
                 .iter()
                 .find(|b| b.fault_rate == row.fault_rate && b.mode == row.mode)
             else {
@@ -1302,18 +694,22 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
         // A committed targeted row is a committed property like any
         // other: a fresh run that silently stops measuring the
         // worst case has lost the gate, not passed it.
-        if committed.robustness.iter().any(|r| r.mode == "targeted")
-            && !fresh.robustness.iter().any(|r| r.mode == "targeted")
+        if committed_rob.iter().any(|r| r.mode == "targeted")
+            && !fresh_rob.iter().any(|r| r.mode == "targeted")
         {
             report.violations.push(
                 "targeted (worst-case) robustness row disappeared from the fresh baseline".into(),
             );
         }
-        if let Some(top) = fresh.robustness.last() {
+        if let Some(top) = fresh_rob.last() {
             report.notes.push(format!(
                 "robustness: precision {:.3}, gain {:.1} at {} fault rate {:.3} \
                  ({} defects survived, zero panics)",
-                top.harvest_precision, top.composition_gain, top.mode, top.fault_rate, top.defects
+                top.harvest_precision,
+                top.composition_gain,
+                top.mode,
+                top.fault_rate,
+                top.defects()
             ));
         }
     }
@@ -1330,21 +726,13 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
             .push("large_100k (sharded) block disappeared from the fresh baseline".into());
     }
     if let Some(big) = &fresh.large_100k {
-        for (sharded, unsharded, label) in [
-            ("harvest_sharded", "harvest_unsharded", "harvest"),
-            ("mdav_sharded", "mdav_unsharded", "hierarchical MDAV"),
-            ("intersect_sharded", "intersect_unsharded", "intersection"),
-        ] {
-            match (big.digests.get(sharded), big.digests.get(unsharded)) {
-                (Some(s), Some(u)) if s == u => {}
-                (Some(s), Some(u)) => report.violations.push(format!(
+        let labels = ["harvest", "hierarchical MDAV", "intersection"];
+        for ([(_, s), (_, u)], label) in big.digest_pairs().into_iter().zip(labels) {
+            if s != u {
+                report.violations.push(format!(
                     "large_100k {label} diverged from its unsharded reference: sharded \
-                     digest {s} vs unsharded {u}"
-                )),
-                _ => report.violations.push(format!(
-                    "large_100k block carries no {label} digest pair — the \
-                     sharded-vs-unsharded equivalence gate cannot run"
-                )),
+                     digest {s:016x} vs unsharded {u:016x}"
+                ));
             }
         }
         if big.shard_rows.len() != big.shards {
@@ -1353,18 +741,13 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                 big.shard_rows.len(),
                 big.shards
             ));
-        } else if big
-            .shard_rows
-            .iter()
-            .enumerate()
-            .any(|(i, (shard, _, _, _))| *shard != i)
-        {
+        } else if big.shard_rows.iter().enumerate().any(|(i, r)| r.shard != i) {
             report.violations.push(format!(
                 "large_100k shard rows are not dense ascending: {:?}",
                 big.shard_rows
             ));
         }
-        let covered: usize = big.shard_rows.iter().map(|(_, rows, _, _)| rows).sum();
+        let covered: usize = big.shard_rows.iter().map(|r| r.rows).sum();
         if covered != big.size {
             report.violations.push(format!(
                 "large_100k shard rows cover {} of {} master rows — every row must \
@@ -1377,11 +760,7 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
         // one-per-12.5k rate, and a row that misreports it reintroduces
         // exactly the misread the flag exists to prevent.
         let expected_cap = fred_data::ShardPlan::for_size_saturated(big.size);
-        if big
-            .shard_rows
-            .iter()
-            .any(|(_, _, _, capped)| *capped != expected_cap)
-        {
+        if big.shard_rows.iter().any(|r| r.capped != expected_cap) {
             report.violations.push(format!(
                 "large_100k shard rows misreport cap saturation at {} rows across {} \
                  shard(s): expected capped = {expected_cap}",
@@ -1410,12 +789,15 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                     && base.shards == big.shards
                     && committed.seed == fresh.seed =>
             {
-                if base.digests != big.digests {
+                if base.digest_pairs() != big.digest_pairs() {
                     report.violations.push(format!(
                         "large_100k digests drifted at the same (seed, size {}, shards {}) \
                          — the sharded pipeline is seeded and deterministic, so this is a \
-                         behavior change: committed {:?}, fresh {:?}",
-                        big.size, big.shards, base.digests, big.digests
+                         behavior change: committed {:x?}, fresh {:x?}",
+                        big.size,
+                        big.shards,
+                        base.digest_pairs(),
+                        big.digest_pairs()
                     ));
                 }
             }
@@ -1535,28 +917,28 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                 ));
             }
             if !prof.counters.is_empty() {
-                let count = |name: &str| prof.counters.get(name).copied().unwrap_or(0) as usize;
-                if !fresh.robustness.is_empty() {
+                let count = |name: &str| prof.counter(name).unwrap_or(0) as usize;
+                if !fresh_rob.is_empty() {
                     let ledgers = [
                         (
                             "faults.pages_rejected",
-                            fresh.robustness.iter().map(|r| r.pages_rejected).sum(),
+                            fresh_rob.iter().map(|r| r.pages_rejected).sum(),
                         ),
                         (
                             "faults.rows_skipped",
-                            fresh.robustness.iter().map(|r| r.rows_skipped).sum(),
+                            fresh_rob.iter().map(|r| r.rows_skipped).sum(),
                         ),
                         (
                             "faults.fields_imputed",
-                            fresh.robustness.iter().map(|r| r.fields_imputed).sum(),
+                            fresh_rob.iter().map(|r| r.fields_imputed).sum(),
                         ),
                         (
                             "faults.workers_restarted",
-                            fresh.robustness.iter().map(|r| r.workers_restarted).sum(),
+                            fresh_rob.iter().map(|r| r.workers_restarted).sum(),
                         ),
                         (
                             "faults.shards_lost",
-                            fresh.robustness.iter().map(|r| r.shards_lost).sum(),
+                            fresh_rob.iter().map(|r| r.shards_lost).sum(),
                         ),
                     ];
                     for (name, ledger) in ledgers {
@@ -1576,11 +958,11 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                 // (cached, sequential, sharded and tolerant paths all
                 // funnel through it), so their totals must agree to the
                 // unit whenever the histogram was recorded.
-                if let (Some((hist_count, _)), Some(&names)) = (
-                    prof.hists.get("harvest.name_ms"),
-                    prof.counters.get("harvest.names"),
-                ) {
-                    if *hist_count != names {
+                if let (Some(hist), Some(names)) =
+                    (prof.hist("harvest.name_ms"), prof.counter("harvest.names"))
+                {
+                    let hist_count = hist.count;
+                    if hist_count != names {
                         report.violations.push(format!(
                             "obs histogram `harvest.name_ms` recorded {hist_count} \
                              observation(s) but counter `harvest.names` = {names} — \
@@ -1619,38 +1001,37 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
             ));
         }
     }
-    for line in &fresh.malformed_rows {
+    for line in &fresh_parse.malformed_rows {
         report.violations.push(format!(
-            "composition row carries a non-finite or unparseable value: {line}"
+            "row carries a non-finite or unparseable value: {line}"
         ));
     }
     // A corrupt committed baseline is just as disarming: its rows drop
     // out of the parsed series, so the disappeared/monotonicity checks
     // above would silently stop guarding that block. Refuse to gate
     // against it — regenerating the baseline is the remedy.
-    for line in &committed.malformed_rows {
+    for line in &committed_parse.malformed_rows {
         report.violations.push(format!(
-            "committed baseline carries a non-finite or unparseable composition row \
+            "committed baseline carries a non-finite or unparseable row \
              (regenerate it): {line}"
         ));
     }
 
     // Key the large-world harvest gate off the cores that ran the large
-    // block when recorded, so a heterogeneous runner cannot gate the 10k
-    // stage against the wrong count.
-    let fresh_cores = fresh.large_cores.or(fresh.cores).unwrap_or(1);
-    match fresh.speedup_harvest_parallel_vs_single {
-        _ if fresh_det => {}
-        Some(v) if fresh_cores >= HARVEST_SPEEDUP_MIN_CORES && v < MIN_HARVEST_SPEEDUP => {
+    // block, so a heterogeneous runner cannot gate the 10k stage against
+    // the wrong count.
+    if let (Some(large), false) = (&fresh.large, fresh_det) {
+        let (v, cores) = (large.speedup_harvest_parallel_vs_single, large.cores);
+        if cores >= HARVEST_SPEEDUP_MIN_CORES && v < MIN_HARVEST_SPEEDUP {
             report.violations.push(format!(
-                "harvest parallel speedup fell to {v:.2} on {fresh_cores} cores \
+                "harvest parallel speedup fell to {v:.2} on {cores} cores \
                  (must stay >= {MIN_HARVEST_SPEEDUP:.1} on >= {HARVEST_SPEEDUP_MIN_CORES})"
-            ))
+            ));
+        } else {
+            report.notes.push(format!(
+                "harvest parallel speedup = {v:.2} on {cores} core(s)"
+            ));
         }
-        Some(v) => report.notes.push(format!(
-            "harvest parallel speedup = {v:.2} on {fresh_cores} core(s)"
-        )),
-        None => {}
     }
 
     report
@@ -1659,8 +1040,19 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perf::{quick_bench, QuickBenchOptions};
+    use crate::perf::{quick_bench, QuickBenchOptions, ShardBenchRow};
     use crate::world::WorldConfig;
+
+    /// `(releases, disclosure_gain, mean_candidates)` per row of an
+    /// optional composition block.
+    fn triples(block: Option<&CompositionBench>) -> Vec<(usize, f64, f64)> {
+        block.map_or(Vec::new(), |c| {
+            c.rows
+                .iter()
+                .map(|r| (r.releases, r.disclosure_gain, r.mean_candidates))
+                .collect()
+        })
+    }
 
     fn small_bench_json(large: Option<usize>) -> String {
         quick_bench(
@@ -1680,18 +1072,31 @@ mod tests {
     }
 
     #[test]
+    fn identical_baselines_pass() {
+        // Synthetic timings: a real timed run under parallel-test load can
+        // legitimately dip below the speedup gate, which is not what this
+        // test is about.
+        let json = synthetic_json(100.0, 5.0);
+        let report = compare_baselines(&json, &json);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+    }
+
+    #[test]
     fn parses_its_own_writer_round_trip() {
         let json = small_bench_json(Some(40));
         let b = parse_baseline(&json);
-        assert!(b.stage_wall_ms.contains_key("world_build"));
-        assert!(b.stage_wall_ms.contains_key("mdav_k5"));
-        assert!(b.stage_wall_ms.contains_key("mdav_k5_large"));
-        assert!(b.stage_wall_ms.contains_key("harvest_parallel_large"));
-        assert!(b.speedup_batch_vs_naive.is_some());
-        assert!(b.speedup_harvest_parallel_vs_single.is_some());
-        assert!(b.cores.unwrap_or(0) >= 1);
-        assert!(b.large_cores.unwrap_or(0) >= 1);
+        let has_stage = |name: &str| b.bench.all_stages().any(|s| s.name == name);
+        assert!(has_stage("world_build"));
+        assert!(has_stage("mdav_k5"));
+        assert!(has_stage("mdav_k5_large"));
+        assert!(has_stage("harvest_parallel_large"));
+        assert!(b.bench.speedup_batch_vs_naive.is_finite());
+        let large = b.bench.large.as_ref().expect("large block parsed");
+        assert!(large.speedup_harvest_parallel_vs_single.is_finite());
+        assert!(b.bench.cores >= 1);
+        assert!(large.cores >= 1);
         assert!(b.malformed_rows.is_empty());
+        assert!(b.structural_errors.is_empty(), "{:?}", b.structural_errors);
     }
 
     #[test]
@@ -1711,14 +1116,16 @@ mod tests {
             },
         )
         .to_json();
-        let b = parse_baseline(&json);
+        let b = parse_baseline(&json).bench;
         // Both series present, attributed to their own blocks, R = 1..=3
-        // each — not nine rows pooled into one series.
-        let releases = |rows: &[CompositionRow]| rows.iter().map(|r| r.0).collect::<Vec<_>>();
-        assert_eq!(releases(&b.composition), vec![1, 2, 3]);
-        assert_eq!(releases(&b.composition_large), vec![1, 2, 3]);
-        assert!(b.stage_wall_ms.contains_key("composition_large"));
-        assert!(b.malformed_rows.is_empty());
+        // each — not six rows pooled into one series.
+        let releases = |block: Option<&CompositionBench>| {
+            triples(block).iter().map(|r| r.0).collect::<Vec<_>>()
+        };
+        let large = b.large.as_ref().expect("large block parsed");
+        assert_eq!(releases(b.composition.as_ref()), vec![1, 2, 3]);
+        assert_eq!(releases(large.composition.as_ref()), vec![1, 2, 3]);
+        assert!(b.all_stages().any(|s| s.name == "composition_large"));
         // A self-diff passes the gates.
         let report = compare_baselines(&json, &json);
         assert!(
@@ -1729,13 +1136,34 @@ mod tests {
     }
 
     #[test]
-    fn identical_baselines_pass() {
-        // Synthetic timings: a real timed run under parallel-test load can
-        // legitimately dip below the speedup gate, which is not what this
-        // test is about.
-        let json = synthetic_json(100.0, 5.0);
+    fn sharded_block_round_trips_from_the_writer() {
+        let json = quick_bench(
+            &WorldConfig {
+                size: 30,
+                ..WorldConfig::default()
+            },
+            2,
+            3,
+            1,
+            &QuickBenchOptions {
+                sharded_size: Some(80),
+                ..QuickBenchOptions::default()
+            },
+        )
+        .to_json();
+        let b = parse_baseline(&json);
+        let big = b.bench.large_100k.as_ref().expect("block parsed");
+        assert_eq!((big.size, big.shards), (80, 1));
+        assert_eq!(big.shard_rows.len(), 1);
+        assert_eq!(big.digest_pairs().iter().flatten().count(), 6);
+        assert!(b.bench.all_stages().any(|s| s.name == "equivalence_100k"));
+        assert!(b.malformed_rows.is_empty(), "{:?}", b.malformed_rows);
         let report = compare_baselines(&json, &json);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert!(
+            report.violations.iter().all(|v| !v.contains("large_100k")),
+            "{:?}",
+            report.violations
+        );
     }
 
     #[test]
@@ -1801,8 +1229,11 @@ mod tests {
     #[test]
     fn composition_rows_parse() {
         let json = synthetic_composition_json(&[(1, 0.0, 5.0), (2, 7000.0, 2.3)]);
-        let b = parse_baseline(&json);
-        assert_eq!(b.composition, vec![(1, 0.0, 5.0), (2, 7000.0, 2.3)]);
+        let b = parse_baseline(&json).bench;
+        assert_eq!(
+            triples(b.composition.as_ref()),
+            vec![(1, 0.0, 5.0), (2, 7000.0, 2.3)]
+        );
     }
 
     #[test]
@@ -1918,12 +1349,13 @@ mod tests {
             &[(1, 0.0, 5.0), (2, 4000.0, 2.8), (3, 6000.0, 2.1)],
             &[(1, 0.0, 5.0), (2, 7000.0, 2.3), (3, 9000.0, 1.7)],
         );
-        let b = parse_baseline(&good);
-        assert_eq!(b.composition.len(), 3);
-        assert_eq!(b.composition_large.len(), 3);
-        assert_eq!(b.composition_large[1], (2, 4000.0, 2.8));
-        assert_eq!(b.large_cores, Some(1));
-        assert_eq!(b.cores, Some(1));
+        let b = parse_baseline(&good).bench;
+        let large = b.large.as_ref().expect("large block parsed");
+        assert_eq!(triples(b.composition.as_ref()).len(), 3);
+        assert_eq!(triples(large.composition.as_ref()).len(), 3);
+        assert_eq!(triples(large.composition.as_ref())[1], (2, 4000.0, 2.8));
+        assert_eq!(large.cores, 1);
+        assert_eq!(b.cores, 1);
         let report = compare_baselines(&good, &good);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
 
@@ -2004,12 +1436,13 @@ mod tests {
             ],
         );
         let b = parse_baseline(&json);
-        assert_eq!(b.defense_k, Some(5));
-        assert_eq!(b.composition_defense.len(), 3);
-        assert_eq!(b.composition_defense[1].policy, "coordinated_seeds");
-        assert_eq!(b.composition_defense[1].undefended_gain, 9000.0);
-        assert_eq!(b.composition_defense[2].mean_candidates, 6.1);
         assert!(b.malformed_rows.is_empty());
+        let defense = b.bench.composition_defense.expect("defense block parsed");
+        assert_eq!(defense.k, 5);
+        assert_eq!(defense.rows.len(), 3);
+        assert_eq!(defense.rows[1].policy, "coordinated_seeds");
+        assert_eq!(defense.rows[1].undefended_gain, 9000.0);
+        assert_eq!(defense.rows[2].mean_candidates, 6.1);
     }
 
     #[test]
@@ -2166,14 +1599,15 @@ mod tests {
         let json =
             synthetic_robustness_json(&[(0.0, 0.95, 0.9, 8000.0, 0), (0.1, 0.9, 0.7, 6000.0, 42)]);
         let b = parse_baseline(&json);
-        assert_eq!(b.robustness.len(), 2);
-        assert_eq!(b.robustness[0].fault_rate, 0.0);
-        assert_eq!(b.robustness[0].defects, 0);
-        assert_eq!(b.robustness[1].harvest_precision, 0.9);
-        assert_eq!(b.robustness[1].defects, 42);
         assert!(b.malformed_rows.is_empty());
+        let rows = b.bench.robustness.expect("robustness block parsed").rows;
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].fault_rate, 0.0);
+        assert_eq!(rows[0].defects(), 0);
+        assert_eq!(rows[1].harvest_precision, 0.9);
+        assert_eq!(rows[1].defects(), 42);
         // Robustness rows never leak into the composition series.
-        assert!(b.composition.is_empty());
+        assert!(b.bench.composition.is_none());
         let report = compare_baselines(&json, &json);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert!(report.notes.iter().any(|n| n.contains("robustness")));
@@ -2304,15 +1738,15 @@ mod tests {
     fn robustness_mode_parses_and_defaults_to_uniform() {
         // Mode-less rows (pre-targeted baselines) parse as uniform.
         let old = synthetic_robustness_json(&[(0.0, 0.95, 0.9, 8000.0, 0)]);
-        let b = parse_baseline(&old);
-        assert_eq!(b.robustness[0].mode, "uniform");
+        let b = parse_baseline(&old).bench;
+        assert_eq!(b.robustness.unwrap().rows[0].mode, "uniform");
         // Mode-carrying rows keep their mode.
         let new = synthetic_mode_robustness_json(&[
             (0.0, "uniform", 0.95, 0.9, 8000.0, 0),
             (0.1, "targeted", 0.9, 0.7, 1000.0, 12),
         ]);
         let b = parse_baseline(&new);
-        assert_eq!(b.robustness[1].mode, "targeted");
+        assert_eq!(b.bench.robustness.unwrap().rows[1].mode, "targeted");
         assert!(b.malformed_rows.is_empty());
     }
 
@@ -2409,7 +1843,7 @@ mod tests {
             &[("world_build", 1, 0, 0.0), ("mdav", 3, 2, 14.5)],
         );
         let b = parse_baseline(&json);
-        let rec = b.recovery.expect("recovery block parsed");
+        let rec = b.bench.recovery.clone().expect("recovery block parsed");
         assert_eq!(rec.seed, 2015);
         assert_eq!(rec.transient_rate, 0.1);
         assert_eq!(rec.max_attempts, 4);
@@ -2421,7 +1855,7 @@ mod tests {
         assert_eq!(rec.rows[1].backoff_ms, 14.5);
         assert!(b.malformed_rows.is_empty());
         // Recovery rows never leak into the timing-stage namespace.
-        assert!(!b.stage_wall_ms.contains_key("mdav"));
+        assert!(!b.bench.all_stages().any(|s| s.name == "mdav"));
         let report = compare_baselines(&json, &json);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert!(report.notes.iter().any(|n| n.contains("recovery")));
@@ -2508,8 +1942,9 @@ mod tests {
     fn deterministic_fresh_run_skips_timing_gates_but_not_structure() {
         let committed = synthetic_json(100.0, 5.0);
         let det = synthetic_det_json();
-        assert_eq!(parse_baseline(&det).deterministic, Some(true));
-        assert_eq!(parse_baseline(&committed).deterministic, None);
+        assert!(parse_baseline(&det).bench.deterministic);
+        // Baselines that predate the flag parse as timed runs.
+        assert!(!parse_baseline(&committed).bench.deterministic);
         // Zeroed speedup and zeroed stage walls pass: timing gates are
         // skipped for a deterministic fresh run.
         let report = compare_baselines(&committed, &det);
@@ -2523,11 +1958,10 @@ mod tests {
             report.notes
         );
         // The stage-disappeared gate still applies in full.
-        let hollow: String = det
-            .lines()
-            .filter(|l| !l.contains("\"mdav_k5\""))
-            .map(|l| format!("{l}\n"))
-            .collect();
+        let hollow = det.replace(
+            ",\n    { \"name\": \"mdav_k5\", \"wall_ms\": 0.000, \"rows\": 120, \"rows_per_sec\": 0.0 }",
+            "",
+        );
         let report = compare_baselines(&committed, &hollow);
         assert!(
             report
@@ -2639,7 +2073,7 @@ mod tests {
                 if i + 1 < counters.len() { "," } else { "" }
             ));
         }
-        out.push_str("    ]\n  }\n}\n");
+        out.push_str("    ],\n    \"hists\": []\n  }\n}\n");
         out
     }
 
@@ -2653,7 +2087,7 @@ mod tests {
             &[("mdav.rounds", 12), ("release.chunks", 3)],
         );
         let b = parse_baseline(&json);
-        let prof = b.profile.expect("profile block parsed");
+        let prof = b.bench.profile.clone().expect("profile block parsed");
         assert!(!prof.deterministic);
         assert_eq!(prof.spans_total, 3);
         assert_eq!(prof.span_tree_digest, "00deadbeef00cafe");
@@ -2661,12 +2095,12 @@ mod tests {
         assert_eq!(prof.overhead_pct_of_large, 0.5);
         assert_eq!(prof.stages.len(), 2);
         assert_eq!(prof.stages[1].stage, "mdav");
-        assert_eq!(prof.counters.get("mdav.rounds"), Some(&12));
+        assert_eq!(prof.counter("mdav.rounds"), Some(12));
         assert!(b.malformed_rows.is_empty());
         // Profile stage rows never leak into the timing-stage namespace
         // or the recovery ledger.
-        assert!(!b.stage_wall_ms.contains_key("mdav"));
-        assert!(b.recovery.is_none());
+        assert!(!b.bench.all_stages().any(|s| s.name == "mdav"));
+        assert!(b.bench.recovery.is_none());
         let report = compare_baselines(&json, &json);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert!(report.notes.iter().any(|n| n.contains("profile")));
@@ -2887,19 +2321,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn quarantined_total_round_trips_and_defaults() {
-        // Old-format header (no quarantined_total) parses as zero.
-        let old = synthetic_recovery_json(2015, 0.1, 4, 3, 0, &[("world_build", 1, 0, 0.0)]);
-        assert_eq!(parse_baseline(&old).recovery.unwrap().quarantined_total, 0);
-        // New-format header round-trips the field.
-        let new = old.replace(
-            "\"retries_total\": 3,",
-            "\"retries_total\": 3, \"quarantined_total\": 2,",
-        );
-        assert_eq!(parse_baseline(&new).recovery.unwrap().quarantined_total, 2);
-    }
-
     /// A synthetic baseline carrying a well-formed `large_100k` block in
     /// the writer's format: `shards` equal shards covering `size` rows,
     /// all three digest pairs agreeing, peak rss under the ceiling.
@@ -2940,18 +2361,30 @@ mod tests {
     fn sharded_block_parses_and_self_diff_passes() {
         let json = synthetic_sharded_json();
         let b = parse_baseline(&json);
-        let big = b.large_100k.as_ref().expect("block parsed");
+        let big = b.bench.large_100k.as_ref().expect("block parsed");
         assert_eq!((big.size, big.shards, big.sample_rows), (200, 2, 200));
         assert_eq!(big.peak_rss_mb, 512.0);
         // Pre-cap rows (no `capped` field) parse as uncapped.
-        assert_eq!(
-            big.shard_rows,
-            vec![(0, 100, 90, false), (1, 100, 89, false)]
-        );
-        assert_eq!(big.digests.len(), 6);
-        assert_eq!(b.seed, Some(2015));
+        let shard_row = |shard, pages| ShardBenchRow {
+            shard,
+            rows: 100,
+            pages,
+            capped: false,
+        };
+        assert_eq!(big.shard_rows, vec![shard_row(0, 90), shard_row(1, 89)]);
+        let digests: Vec<u64> = big
+            .digest_pairs()
+            .iter()
+            .flatten()
+            .map(|&(_, d)| d)
+            .collect();
+        assert_eq!(digests, vec![0xaa, 0xaa, 0xbb, 0xbb, 0xcc, 0xcc]);
+        assert_eq!(b.bench.seed, 2015);
         // The 100k stages share the common timing namespace.
-        assert!(b.stage_wall_ms.contains_key("harvest_sharded_100k"));
+        assert!(b
+            .bench
+            .all_stages()
+            .any(|s| s.name == "harvest_sharded_100k"));
         assert!(b.malformed_rows.is_empty(), "{:?}", b.malformed_rows);
         let report = compare_baselines(&json, &json);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
@@ -3121,48 +2554,18 @@ mod tests {
     }
 
     #[test]
-    fn sharded_block_round_trips_from_the_writer() {
-        let json = quick_bench(
-            &WorldConfig {
-                size: 30,
-                ..WorldConfig::default()
-            },
-            2,
-            3,
-            1,
-            &QuickBenchOptions {
-                sharded_size: Some(80),
-                ..QuickBenchOptions::default()
-            },
-        )
-        .to_json();
-        let b = parse_baseline(&json);
-        let big = b.large_100k.as_ref().expect("block parsed");
-        assert_eq!((big.size, big.shards), (80, 1));
-        assert_eq!(big.shard_rows.len(), 1);
-        assert_eq!(big.digests.len(), 6);
-        assert!(b.stage_wall_ms.contains_key("equivalence_100k"));
-        assert!(b.malformed_rows.is_empty(), "{:?}", b.malformed_rows);
-        let report = compare_baselines(&json, &json);
-        assert!(
-            report.violations.iter().all(|v| !v.contains("large_100k")),
-            "{:?}",
-            report.violations
-        );
-    }
-
-    #[test]
     fn robustness_shards_lost_parses_and_defaults() {
         // Old-format rows (no shards_lost) parse as zero lost shards.
         let old = synthetic_robustness_json(&[(0.0, 0.95, 0.9, 8000.0, 0)]);
-        assert_eq!(parse_baseline(&old).robustness[0].shards_lost, 0);
+        let rows = |json: &str| parse_baseline(json).bench.robustness.unwrap().rows;
+        assert_eq!(rows(&old)[0].shards_lost, 0);
         // New-format rows fold the field into the defect total.
         let new = old.replace(
             "\"workers_restarted\": 0",
             "\"workers_restarted\": 0, \"shards_lost\": 3",
         );
-        let row = &parse_baseline(&new).robustness[0];
+        let row = &rows(&new)[0];
         assert_eq!(row.shards_lost, 3);
-        assert_eq!(row.defects, 3);
+        assert_eq!(row.defects(), 3);
     }
 }

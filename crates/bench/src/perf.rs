@@ -34,13 +34,14 @@ use fred_composition::{
 use fred_core::{sweep, SweepConfig};
 use fred_data::{ShardPlan, Table};
 use fred_faults::{FaultPlan, TargetedCorruption};
-use fred_recover::{RetryPolicy, StageRunner};
+use fred_recover::json::{self, Value};
+use fred_recover::{
+    from_array, from_optional, to_array, to_optional, Artifact, RetryPolicy, StageReport,
+    StageRunner,
+};
 use fred_web::{corrupt_pages, SearchEngine, ShardedSearchEngine};
 
-use crate::ckpt::{
-    digest_bits, digest_harvest, digest_world, intern_stage_name, Digest, EstimatesArtifact,
-    StageAnchor, SweepArtifact,
-};
+use crate::ckpt::{digest_bits, digest_harvest, digest_world, Digest, StageAnchor};
 use crate::stages::{self as sn, runner as rstage};
 use crate::world::{faculty_world, World, WorldConfig};
 
@@ -98,6 +99,28 @@ pub struct ShardBenchRow {
     pub capped: bool,
 }
 
+impl Artifact for ShardBenchRow {
+    fn to_value(&self) -> Value {
+        Value::obj([
+            ("shard", self.shard.into()),
+            ("rows", self.rows.into()),
+            ("pages", self.pages.into()),
+            ("capped", self.capped.into()),
+        ])
+    }
+
+    fn from_value(v: &Value) -> Option<ShardBenchRow> {
+        Some(ShardBenchRow {
+            shard: v.get("shard")?.as_usize()?,
+            rows: v.get("rows")?.as_usize()?,
+            pages: v.get("pages")?.as_usize()?,
+            // Rows written before the flag existed ran well below the
+            // 64-shard ceiling: absent means uncapped.
+            capped: v.get("capped").map_or(Some(false), Value::as_bool)?,
+        })
+    }
+}
+
 /// The sharded 100k block (`repro --quick --size 100000`): the
 /// shard-partitioned pipeline — hierarchical MDAV, per-shard harvest,
 /// per-shard streaming intersection — timed at full size with every
@@ -139,6 +162,66 @@ pub struct Large100kBench {
     pub intersect_digest_unsharded: u64,
 }
 
+impl Large100kBench {
+    /// The six equivalence digests under their JSON keys, as
+    /// `(sharded, unsharded)` pairs: harvest, MDAV, intersection.
+    pub fn digest_pairs(&self) -> [[(&'static str, u64); 2]; 3] {
+        [
+            [
+                ("harvest_sharded", self.harvest_digest_sharded),
+                ("harvest_unsharded", self.harvest_digest_unsharded),
+            ],
+            [
+                ("mdav_sharded", self.mdav_digest_sharded),
+                ("mdav_unsharded", self.mdav_digest_unsharded),
+            ],
+            [
+                ("intersect_sharded", self.intersect_digest_sharded),
+                ("intersect_unsharded", self.intersect_digest_unsharded),
+            ],
+        ]
+    }
+}
+
+impl Artifact for Large100kBench {
+    fn to_value(&self) -> Value {
+        let digests = self.digest_pairs().into_iter().flatten();
+        Value::obj([
+            ("size", self.size.into()),
+            ("shards", self.shards.into()),
+            ("cores", self.cores.into()),
+            ("sample_rows", self.sample_rows.into()),
+            ("peak_rss_mb", self.peak_rss_mb.into()),
+            ("stages", to_array(&self.stages)),
+            ("shard_rows", to_array(&self.shard_rows)),
+            (
+                "digests",
+                Value::obj(digests.map(|(k, d)| (k, json::hex(d)))),
+            ),
+        ])
+    }
+
+    fn from_value(v: &Value) -> Option<Large100kBench> {
+        let digests = v.get("digests")?;
+        let digest = |key: &str| digests.get(key)?.as_hex();
+        Some(Large100kBench {
+            size: v.get("size")?.as_usize()?,
+            shards: v.get("shards")?.as_usize()?,
+            cores: v.get("cores")?.as_usize()?,
+            sample_rows: v.get("sample_rows")?.as_usize()?,
+            peak_rss_mb: v.get("peak_rss_mb")?.as_f64()?,
+            stages: from_array(v.get("stages")?)?,
+            shard_rows: from_array(v.get("shard_rows")?)?,
+            harvest_digest_sharded: digest("harvest_sharded")?,
+            harvest_digest_unsharded: digest("harvest_unsharded")?,
+            mdav_digest_sharded: digest("mdav_sharded")?,
+            mdav_digest_unsharded: digest("mdav_unsharded")?,
+            intersect_digest_sharded: digest("intersect_sharded")?,
+            intersect_digest_unsharded: digest("intersect_unsharded")?,
+        })
+    }
+}
+
 /// Wall-clock + throughput of one pipeline stage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageTiming {
@@ -160,9 +243,28 @@ impl StageTiming {
     }
 }
 
+impl Artifact for StageTiming {
+    fn to_value(&self) -> Value {
+        Value::obj([
+            ("name", self.name.into()),
+            ("wall_ms", self.wall_ms.into()),
+            ("rows", self.rows.into()),
+            ("rows_per_sec", self.rows_per_sec().into()),
+        ])
+    }
+
+    fn from_value(v: &Value) -> Option<StageTiming> {
+        Some(StageTiming {
+            name: sn::intern(v.get("name")?.as_str()?)?,
+            wall_ms: v.get("wall_ms")?.as_f64()?,
+            rows: v.get("rows")?.as_usize()?,
+        })
+    }
+}
+
 /// The large-world add-on: the same hot stages timed at enterprise scale
 /// (defaults to 10 000 rows), where superlinear behavior cannot hide.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LargeBench {
     /// Large-world row count.
     pub size: usize,
@@ -186,8 +288,36 @@ pub struct LargeBench {
     pub composition: Option<CompositionBench>,
 }
 
+impl Artifact for LargeBench {
+    fn to_value(&self) -> Value {
+        let mut pairs = vec![
+            ("size", self.size.into()),
+            ("cores", self.cores.into()),
+            ("stages", to_array(&self.stages)),
+            (
+                "speedup_harvest_parallel_vs_single",
+                self.speedup_harvest_parallel_vs_single.into(),
+            ),
+        ];
+        pairs.extend(to_optional(&self.composition).map(|c| ("composition_large", c)));
+        Value::obj(pairs)
+    }
+
+    fn from_value(v: &Value) -> Option<LargeBench> {
+        Some(LargeBench {
+            size: v.get("size")?.as_usize()?,
+            cores: v.get("cores")?.as_usize()?,
+            stages: from_array(v.get("stages")?)?,
+            speedup_harvest_parallel_vs_single: v
+                .get("speedup_harvest_parallel_vs_single")?
+                .as_f64()?,
+            composition: from_optional(v, "composition_large")?,
+        })
+    }
+}
+
 /// One `(releases)` cell of the composition stage.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompositionBenchRow {
     /// Number of composed releases.
     pub releases: usize,
@@ -200,22 +330,72 @@ pub struct CompositionBenchRow {
     pub estimate_gain: f64,
 }
 
-/// The `--compose` add-on: the composition attack swept over release
-/// counts at the tracked `k`.
-#[derive(Debug, Clone)]
-pub struct CompositionBench {
+impl Artifact for CompositionBenchRow {
+    fn to_value(&self) -> Value {
+        Value::obj([
+            ("releases", self.releases.into()),
+            ("disclosure_gain", self.disclosure_gain.into()),
+            ("mean_candidates", self.mean_candidates.into()),
+            ("estimate_gain", self.estimate_gain.into()),
+        ])
+    }
+
+    fn from_value(v: &Value) -> Option<CompositionBenchRow> {
+        Some(CompositionBenchRow {
+            releases: v.get("releases")?.as_usize()?,
+            disclosure_gain: v.get("disclosure_gain")?.as_f64()?,
+            mean_candidates: v.get("mean_candidates")?.as_f64()?,
+            estimate_gain: v.get("estimate_gain")?.as_f64()?,
+        })
+    }
+}
+
+/// A composition-scenario sweep at the tracked `k`: the `--compose`
+/// add-on (the attack swept over release counts, [`CompositionBench`])
+/// or the `--defend` add-on (every policy swept over release counts next
+/// to the undefended gain, [`DefenseBench`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepBench<R> {
     /// Anonymization level every curator applied.
     pub k: usize,
     /// Shared-core fraction of the scenario.
     pub overlap: f64,
-    /// Wall-clock of the whole composition sweep.
+    /// Wall-clock of the whole sweep (for the defense sweep, including
+    /// its undefended reference run).
     pub wall_ms: f64,
-    /// Per-release-count measurements, ascending in `releases`.
-    pub rows: Vec<CompositionBenchRow>,
+    /// Per-cell measurements, ascending in `releases` (policy-major for
+    /// the defense sweep).
+    pub rows: Vec<R>,
+}
+
+/// The `--compose` add-on's block.
+pub type CompositionBench = SweepBench<CompositionBenchRow>;
+
+/// The `--defend` add-on's block.
+pub type DefenseBench = SweepBench<DefenseBenchRow>;
+
+impl<R: Artifact> Artifact for SweepBench<R> {
+    fn to_value(&self) -> Value {
+        Value::obj([
+            ("k", self.k.into()),
+            ("overlap", self.overlap.into()),
+            ("wall_ms", self.wall_ms.into()),
+            ("rows", to_array(&self.rows)),
+        ])
+    }
+
+    fn from_value(v: &Value) -> Option<SweepBench<R>> {
+        Some(SweepBench {
+            k: v.get("k")?.as_usize()?,
+            overlap: v.get("overlap")?.as_f64()?,
+            wall_ms: v.get("wall_ms")?.as_f64()?,
+            rows: from_array(v.get("rows")?)?,
+        })
+    }
 }
 
 /// One `(policy, releases)` cell of the defense stage.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DefenseBenchRow {
     /// Stable policy label ([`DefensePolicy::label`]).
     pub policy: String,
@@ -235,20 +415,28 @@ pub struct DefenseBenchRow {
     pub utility_cost: f64,
 }
 
-/// The `--defend` add-on: every policy swept over release counts at the
-/// tracked `k`, next to the undefended gain.
-#[derive(Debug, Clone)]
-pub struct DefenseBench {
-    /// Anonymization level every curator applied.
-    pub k: usize,
-    /// Shared-core fraction of the scenario.
-    pub overlap: f64,
-    /// Wall-clock of the whole defense sweep (including its undefended
-    /// reference run).
-    pub wall_ms: f64,
-    /// Per-policy, per-release-count measurements (policy-major,
-    /// ascending in `releases`).
-    pub rows: Vec<DefenseBenchRow>,
+impl Artifact for DefenseBenchRow {
+    fn to_value(&self) -> Value {
+        Value::obj([
+            ("policy", self.policy.as_str().into()),
+            ("releases", self.releases.into()),
+            ("residual_gain", self.residual_gain.into()),
+            ("undefended_gain", self.undefended_gain.into()),
+            ("mean_candidates", self.mean_candidates.into()),
+            ("utility_cost", self.utility_cost.into()),
+        ])
+    }
+
+    fn from_value(v: &Value) -> Option<DefenseBenchRow> {
+        Some(DefenseBenchRow {
+            policy: v.get("policy")?.as_str()?.to_string(),
+            releases: v.get("releases")?.as_usize()?,
+            residual_gain: v.get("residual_gain")?.as_f64()?,
+            undefended_gain: v.get("undefended_gain")?.as_f64()?,
+            mean_candidates: v.get("mean_candidates")?.as_f64()?,
+            utility_cost: v.get("utility_cost")?.as_f64()?,
+        })
+    }
 }
 
 /// One `(k, releases, defense)` cell of the hypothesis-testing
@@ -279,6 +467,34 @@ pub struct EvalCellRow {
     pub epsilon: f64,
 }
 
+impl Artifact for EvalCellRow {
+    fn to_value(&self) -> Value {
+        Value::obj([
+            ("k", self.k.into()),
+            ("releases", self.releases.into()),
+            ("defense", self.defense.as_str().into()),
+            ("targets", self.targets.into()),
+            ("decoys", self.decoys.into()),
+            ("auc", self.auc.into()),
+            ("tpr_at_fpr3", self.tpr_at_fpr3.into()),
+            ("epsilon", self.epsilon.into()),
+        ])
+    }
+
+    fn from_value(v: &Value) -> Option<EvalCellRow> {
+        Some(EvalCellRow {
+            k: v.get("k")?.as_usize()?,
+            releases: v.get("releases")?.as_usize()?,
+            defense: v.get("defense")?.as_str()?.to_string(),
+            targets: v.get("targets")?.as_usize()?,
+            decoys: v.get("decoys")?.as_usize()?,
+            auc: v.get("auc")?.as_f64()?,
+            tpr_at_fpr3: v.get("tpr_at_fpr3")?.as_f64()?,
+            epsilon: v.get("epsilon")?.as_f64()?,
+        })
+    }
+}
+
 /// The hypothesis-testing evaluation stage (`repro --quick --compose`):
 /// every `(k, R)` cell of [`EVAL_KS`] × [`EVAL_RELEASES`] scored
 /// undefended, plus one defended cell per `--defend` policy at the
@@ -292,8 +508,24 @@ pub struct EvalBench {
     pub rows: Vec<EvalCellRow>,
 }
 
+impl Artifact for EvalBench {
+    fn to_value(&self) -> Value {
+        Value::obj([
+            ("wall_ms", self.wall_ms.into()),
+            ("rows", to_array(&self.rows)),
+        ])
+    }
+
+    fn from_value(v: &Value) -> Option<EvalBench> {
+        Some(EvalBench {
+            wall_ms: v.get("wall_ms")?.as_f64()?,
+            rows: from_array(v.get("rows")?)?,
+        })
+    }
+}
+
 /// One fault-rate cell of the robustness sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobustnessBenchRow {
     /// Per-fault injection probability every [`FaultPlan`] knob was set
     /// to for this cell (`0.0` is the passthrough reference row). For the
@@ -323,10 +555,59 @@ pub struct RobustnessBenchRow {
     pub shards_lost: usize,
 }
 
+impl RobustnessBenchRow {
+    /// Every defect the tolerant pipeline survived in this cell.
+    pub fn defects(&self) -> usize {
+        self.pages_rejected
+            + self.rows_skipped
+            + self.fields_imputed
+            + self.workers_restarted
+            + self.shards_lost
+    }
+}
+
+impl Artifact for RobustnessBenchRow {
+    fn to_value(&self) -> Value {
+        Value::obj([
+            ("fault_rate", self.fault_rate.into()),
+            ("mode", self.mode.into()),
+            ("harvest_precision", self.harvest_precision.into()),
+            ("harvest_coverage", self.harvest_coverage.into()),
+            ("composition_gain", self.composition_gain.into()),
+            ("pages_rejected", self.pages_rejected.into()),
+            ("rows_skipped", self.rows_skipped.into()),
+            ("fields_imputed", self.fields_imputed.into()),
+            ("workers_restarted", self.workers_restarted.into()),
+            ("shards_lost", self.shards_lost.into()),
+        ])
+    }
+
+    fn from_value(v: &Value) -> Option<RobustnessBenchRow> {
+        Some(RobustnessBenchRow {
+            fault_rate: v.get("fault_rate")?.as_f64()?,
+            // Rows written before targeted corruption or shard loss
+            // existed carry neither field: uniform, no shard lost.
+            mode: match v.get("mode").map_or(Some("uniform"), Value::as_str)? {
+                "uniform" => "uniform",
+                "targeted" => "targeted",
+                _ => return None,
+            },
+            harvest_precision: v.get("harvest_precision")?.as_f64()?,
+            harvest_coverage: v.get("harvest_coverage")?.as_f64()?,
+            composition_gain: v.get("composition_gain")?.as_f64()?,
+            pages_rejected: v.get("pages_rejected")?.as_usize()?,
+            rows_skipped: v.get("rows_skipped")?.as_usize()?,
+            fields_imputed: v.get("fields_imputed")?.as_usize()?,
+            workers_restarted: v.get("workers_restarted")?.as_usize()?,
+            shards_lost: v.get("shards_lost").map_or(Some(0), Value::as_usize)?,
+        })
+    }
+}
+
 /// The `--faults` add-on: the harvest + composition attack re-run under
 /// seeded fault injection at increasing corruption rates, recording how
 /// gracefully the measured signal degrades.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobustnessBench {
     /// The top corruption rate swept (the CLI's `--faults` argument).
     pub max_rate: f64,
@@ -339,6 +620,26 @@ pub struct RobustnessBench {
     /// gated `0.0` passthrough row. When faults are enabled the last row
     /// is the `targeted` worst-case plan at the top budget.
     pub rows: Vec<RobustnessBenchRow>,
+}
+
+impl Artifact for RobustnessBench {
+    fn to_value(&self) -> Value {
+        Value::obj([
+            ("max_rate", self.max_rate.into()),
+            ("seed", self.seed.into()),
+            ("wall_ms", self.wall_ms.into()),
+            ("rows", to_array(&self.rows)),
+        ])
+    }
+
+    fn from_value(v: &Value) -> Option<RobustnessBench> {
+        Some(RobustnessBench {
+            max_rate: v.get("max_rate")?.as_f64()?,
+            seed: v.get("seed")?.as_u64()?,
+            wall_ms: v.get("wall_ms")?.as_f64()?,
+            rows: from_array(v.get("rows")?)?,
+        })
+    }
 }
 
 /// Disabled-path probe calls the overhead stage times: the committed
@@ -359,6 +660,24 @@ pub struct ProfileStageRow {
     pub spans: usize,
 }
 
+impl Artifact for ProfileStageRow {
+    fn to_value(&self) -> Value {
+        Value::obj([
+            ("stage", self.stage.as_str().into()),
+            ("self_ms", self.self_ms.into()),
+            ("spans", self.spans.into()),
+        ])
+    }
+
+    fn from_value(v: &Value) -> Option<ProfileStageRow> {
+        Some(ProfileStageRow {
+            stage: v.get("stage")?.as_str()?.to_string(),
+            self_ms: v.get("self_ms")?.as_f64()?,
+            spans: v.get("spans")?.as_usize()?,
+        })
+    }
+}
+
 /// One duration histogram surfaced in the `profile` block: the
 /// fixed-bucket distribution a [`fred_obs::observe_ms`] site recorded
 /// (e.g. per-name harvest latency under `harvest.name_ms`).
@@ -375,6 +694,30 @@ pub struct ProfileHistRow {
     /// Observation counts per bucket ([`fred_obs::HIST_BOUNDS_MS`]
     /// upper bounds plus one overflow bucket).
     pub buckets: Vec<u64>,
+}
+
+impl Artifact for ProfileHistRow {
+    fn to_value(&self) -> Value {
+        Value::obj([
+            ("hist", self.name.as_str().into()),
+            ("count", self.count.into()),
+            ("sum_ms", self.sum_ms.into()),
+            (
+                "buckets",
+                Value::Arr(self.buckets.iter().map(|&b| b.into()).collect()),
+            ),
+        ])
+    }
+
+    fn from_value(v: &Value) -> Option<ProfileHistRow> {
+        let buckets = v.get("buckets")?.as_arr()?;
+        Some(ProfileHistRow {
+            name: v.get("hist")?.as_str()?.to_string(),
+            count: v.get("count")?.as_u64()?,
+            sum_ms: v.get("sum_ms")?.as_f64()?,
+            buckets: buckets.iter().map(Value::as_u64).collect::<Option<_>>()?,
+        })
+    }
 }
 
 /// The `profile` block: the drained [`fred_obs`] trace distilled into
@@ -413,19 +756,66 @@ pub struct ProfileBench {
     pub hists: Vec<ProfileHistRow>,
 }
 
-/// One stage's recovery ledger: how the [`StageRunner`] obtained it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryBenchRow {
-    /// Checkpoint stage name (the runner's roster, not the timing one).
-    pub stage: String,
-    /// Attempts made when the artifact was *computed* (1 = first try).
-    /// Restored from the checkpoint envelope on resume, so the block is
-    /// invariant under kill-and-resume.
-    pub attempts: usize,
-    /// Retries burned (`attempts - 1`).
-    pub retries: usize,
-    /// Total deterministic backoff slept before success, in ms.
-    pub backoff_ms: f64,
+impl ProfileBench {
+    /// The merged total of one counter, if it was recorded.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, v)| v)
+    }
+
+    /// One duration histogram, if it was recorded.
+    pub fn hist(&self, name: &str) -> Option<&ProfileHistRow> {
+        self.hists.iter().find(|h| h.name == name)
+    }
+}
+
+impl Artifact for ProfileBench {
+    fn to_value(&self) -> Value {
+        let counters = self.counters.iter().map(|(name, v)| {
+            Value::obj([("counter", name.as_str().into()), ("value", (*v).into())])
+        });
+        Value::obj([
+            ("deterministic", self.deterministic.into()),
+            ("spans_total", self.spans_total.into()),
+            ("events_total", self.events_total.into()),
+            ("span_tree_digest", self.span_tree_digest.as_str().into()),
+            (
+                "overhead",
+                Value::obj([
+                    ("probe_calls", self.overhead_probe_calls.into()),
+                    ("wall_ms", self.overhead_wall_ms.into()),
+                    ("pct_of_large", self.overhead_pct_of_large.into()),
+                ]),
+            ),
+            ("stages", to_array(&self.stages)),
+            ("counters", Value::Arr(counters.collect())),
+            ("hists", to_array(&self.hists)),
+        ])
+    }
+
+    fn from_value(v: &Value) -> Option<ProfileBench> {
+        let overhead = v.get("overhead")?;
+        let counters = v.get("counters")?.as_arr()?.iter().map(|c| {
+            Some((
+                c.get("counter")?.as_str()?.to_string(),
+                c.get("value")?.as_u64()?,
+            ))
+        });
+        Some(ProfileBench {
+            deterministic: v.get("deterministic")?.as_bool()?,
+            spans_total: v.get("spans_total")?.as_u64()?,
+            events_total: v.get("events_total")?.as_u64()?,
+            span_tree_digest: v.get("span_tree_digest")?.as_str()?.to_string(),
+            overhead_probe_calls: overhead.get("probe_calls")?.as_u64()?,
+            overhead_wall_ms: overhead.get("wall_ms")?.as_f64()?,
+            overhead_pct_of_large: overhead.get("pct_of_large")?.as_f64()?,
+            stages: from_array(v.get("stages")?)?,
+            counters: counters.collect::<Option<_>>()?,
+            hists: from_array(v.get("hists")?)?,
+        })
+    }
 }
 
 /// The self-healing ledger: what the retry/checkpoint protocol did
@@ -450,15 +840,44 @@ pub struct RecoveryBench {
     /// Panics that escaped the retry protocol — always 0 in a bench that
     /// returned at all; serialized as the gate's witness.
     pub escaped_panics: usize,
-    /// Per-stage ledgers in execution order.
-    pub rows: Vec<RecoveryBenchRow>,
+    /// Per-stage ledgers in execution order: how the [`StageRunner`]
+    /// obtained each stage. `attempts` counts the attempts made when the
+    /// artifact was *computed* — restored from the checkpoint envelope on
+    /// resume, so the block is invariant under kill-and-resume.
+    pub rows: Vec<StageReport>,
     /// True when at least one stage loaded from a checkpoint.
     /// Runtime-only (never serialized), shown in the ASCII summary.
     pub resumed: bool,
 }
 
+impl Artifact for RecoveryBench {
+    fn to_value(&self) -> Value {
+        Value::obj([
+            ("seed", self.seed.into()),
+            ("transient_rate", self.transient_rate.into()),
+            ("max_attempts", self.max_attempts.into()),
+            ("retries_total", self.retries_total.into()),
+            ("escaped_panics", self.escaped_panics.into()),
+            ("rows", to_array(&self.rows)),
+        ])
+    }
+
+    fn from_value(v: &Value) -> Option<RecoveryBench> {
+        Some(RecoveryBench {
+            seed: v.get("seed")?.as_u64()?,
+            transient_rate: v.get("transient_rate")?.as_f64()?,
+            max_attempts: v.get("max_attempts")?.as_usize()?,
+            retries_total: v.get("retries_total")?.as_usize()?,
+            quarantined_total: 0,
+            escaped_panics: v.get("escaped_panics")?.as_usize()?,
+            rows: from_array(v.get("rows")?)?,
+            resumed: false,
+        })
+    }
+}
+
 /// The quick-bench result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QuickBench {
     /// World/sweep parameters the numbers were taken at.
     pub size: usize,
@@ -543,247 +962,98 @@ pub struct QuickBenchOptions {
     pub profile: bool,
 }
 
+impl Artifact for QuickBench {
+    fn to_value(&self) -> Value {
+        let config = Value::obj([
+            ("size", self.size.into()),
+            ("seed", self.seed.into()),
+            ("k_min", self.k_range.0.into()),
+            ("k_max", self.k_range.1.into()),
+            ("cores", self.cores.into()),
+            ("deterministic", self.deterministic.into()),
+        ]);
+        let blocks = [
+            ("large", to_optional(&self.large)),
+            ("large_100k", to_optional(&self.large_100k)),
+            ("composition", to_optional(&self.composition)),
+            (
+                "composition_defense",
+                to_optional(&self.composition_defense),
+            ),
+            ("eval", to_optional(&self.eval)),
+            ("robustness", to_optional(&self.robustness)),
+            ("recovery", to_optional(&self.recovery)),
+            ("profile", to_optional(&self.profile)),
+        ];
+        let mut pairs = vec![
+            ("config", config),
+            ("stages", to_array(&self.stages)),
+            ("speedup_batch_vs_naive", self.speedup_batch_vs_naive.into()),
+        ];
+        pairs.extend(blocks.into_iter().filter_map(|(key, v)| Some((key, v?))));
+        Value::obj(pairs)
+    }
+
+    fn from_value(v: &Value) -> Option<QuickBench> {
+        let config = v.get("config")?;
+        Some(QuickBench {
+            size: config.get("size")?.as_usize()?,
+            seed: config.get("seed")?.as_u64()?,
+            cores: config.get("cores")?.as_usize()?,
+            k_range: (
+                config.get("k_min")?.as_usize()?,
+                config.get("k_max")?.as_usize()?,
+            ),
+            stages: from_array(v.get("stages")?)?,
+            speedup_batch_vs_naive: v.get("speedup_batch_vs_naive")?.as_f64()?,
+            large: from_optional(v, "large")?,
+            large_100k: from_optional(v, "large_100k")?,
+            composition: from_optional(v, "composition")?,
+            composition_defense: from_optional(v, "composition_defense")?,
+            eval: from_optional(v, "eval")?,
+            robustness: from_optional(v, "robustness")?,
+            // Baselines written before checkpointing existed (the golden
+            // fixtures among them) carry no flag: they were timed runs.
+            deterministic: config
+                .get("deterministic")
+                .map_or(Some(false), Value::as_bool)?,
+            recovery: from_optional(v, "recovery")?,
+            profile: from_optional(v, "profile")?,
+            trace: None,
+        })
+    }
+}
+
+/// The fixed number of decimals each float key of `BENCH_sweep.json`
+/// renders with; every other number is a count and renders whole.
+pub(crate) fn bench_decimals(key: &str) -> Option<usize> {
+    Some(match key {
+        "auc" | "tpr_at_fpr3" | "epsilon" | "harvest_precision" | "harvest_coverage" => 4,
+        "wall_ms" | "self_ms" | "sum_ms" | "backoff_ms" | "pct_of_large" | "max_rate"
+        | "fault_rate" | "transient_rate" => 3,
+        "speedup_batch_vs_naive"
+        | "speedup_harvest_parallel_vs_single"
+        | "overlap"
+        | "mean_candidates" => 2,
+        "rows_per_sec" | "peak_rss_mb" | "disclosure_gain" | "estimate_gain" | "residual_gain"
+        | "undefended_gain" | "utility_cost" | "composition_gain" => 1,
+        _ => return None,
+    })
+}
+
 impl QuickBench {
-    /// Renders the machine-readable baseline (hand-rolled JSON — the
-    /// workspace builds offline, without serde).
+    /// Renders the machine-readable baseline: this bench's value tree at
+    /// a fixed precision per key (`wall_ms` 3 decimals, `auc` 4, ...).
     pub fn to_json(&self) -> String {
-        let render_stages = |stages: &[StageTiming], indent: &str| -> String {
-            let mut out = String::new();
-            for (i, s) in stages.iter().enumerate() {
-                out.push_str(&format!(
-                    "{indent}{{ \"name\": \"{}\", \"wall_ms\": {:.3}, \"rows\": {}, \"rows_per_sec\": {:.1} }}{}\n",
-                    s.name,
-                    s.wall_ms,
-                    s.rows,
-                    s.rows_per_sec(),
-                    if i + 1 < stages.len() { "," } else { "" }
-                ));
-            }
-            out
-        };
-        let render_composition = |comp: &CompositionBench, key: &str, indent: &str| -> String {
-            let mut out = format!("{indent}\"{key}\": {{\n");
-            out.push_str(&format!(
-                "{indent}  \"k\": {}, \"overlap\": {:.2}, \"wall_ms\": {:.3},\n",
-                comp.k, comp.overlap, comp.wall_ms
-            ));
-            out.push_str(&format!("{indent}  \"rows\": [\n"));
-            for (i, row) in comp.rows.iter().enumerate() {
-                out.push_str(&format!(
-                    "{indent}    {{ \"releases\": {}, \"disclosure_gain\": {:.1}, \"mean_candidates\": {:.2}, \"estimate_gain\": {:.1} }}{}\n",
-                    row.releases,
-                    row.disclosure_gain,
-                    row.mean_candidates,
-                    row.estimate_gain,
-                    if i + 1 < comp.rows.len() { "," } else { "" }
-                ));
-            }
-            out.push_str(&format!("{indent}  ]\n{indent}}}"));
-            out
-        };
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"config\": {{ \"size\": {}, \"seed\": {}, \"k_min\": {}, \"k_max\": {}, \"cores\": {}, \"deterministic\": {} }},\n",
-            self.size, self.seed, self.k_range.0, self.k_range.1, self.cores, self.deterministic
-        ));
-        out.push_str("  \"stages\": [\n");
-        out.push_str(&render_stages(&self.stages, "    "));
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"speedup_batch_vs_naive\": {:.2}",
-            self.speedup_batch_vs_naive
-        ));
-        if let Some(large) = &self.large {
-            out.push_str(",\n  \"large\": {\n");
-            out.push_str(&format!("    \"size\": {},\n", large.size));
-            out.push_str(&format!("    \"cores\": {},\n", large.cores));
-            out.push_str("    \"stages\": [\n");
-            out.push_str(&render_stages(&large.stages, "      "));
-            out.push_str("    ],\n");
-            out.push_str(&format!(
-                "    \"speedup_harvest_parallel_vs_single\": {:.2}",
-                large.speedup_harvest_parallel_vs_single
-            ));
-            if let Some(comp) = &large.composition {
-                out.push_str(",\n");
-                out.push_str(&render_composition(comp, "composition_large", "    "));
-            }
-            out.push_str("\n  }");
-        }
-        if let Some(big) = &self.large_100k {
-            out.push_str(",\n  \"large_100k\": {\n");
-            out.push_str(&format!("    \"size\": {},\n", big.size));
-            out.push_str(&format!("    \"shards\": {},\n", big.shards));
-            out.push_str(&format!("    \"cores\": {},\n", big.cores));
-            out.push_str(&format!("    \"sample_rows\": {},\n", big.sample_rows));
-            out.push_str(&format!("    \"peak_rss_mb\": {:.1},\n", big.peak_rss_mb));
-            out.push_str("    \"stages\": [\n");
-            out.push_str(&render_stages(&big.stages, "      "));
-            out.push_str("    ],\n    \"shard_rows\": [\n");
-            for (i, row) in big.shard_rows.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{ \"shard\": {}, \"rows\": {}, \"pages\": {}, \"capped\": {} }}{}\n",
-                    row.shard,
-                    row.rows,
-                    row.pages,
-                    row.capped,
-                    if i + 1 < big.shard_rows.len() {
-                        ","
-                    } else {
-                        ""
-                    }
-                ));
-            }
-            out.push_str("    ],\n");
-            out.push_str(&format!(
-                "    \"digests\": {{ \"harvest_sharded\": \"{:016x}\", \"harvest_unsharded\": \"{:016x}\", \"mdav_sharded\": \"{:016x}\", \"mdav_unsharded\": \"{:016x}\", \"intersect_sharded\": \"{:016x}\", \"intersect_unsharded\": \"{:016x}\" }}\n",
-                big.harvest_digest_sharded,
-                big.harvest_digest_unsharded,
-                big.mdav_digest_sharded,
-                big.mdav_digest_unsharded,
-                big.intersect_digest_sharded,
-                big.intersect_digest_unsharded
-            ));
-            out.push_str("  }");
-        }
-        if let Some(comp) = &self.composition {
-            out.push_str(",\n");
-            out.push_str(&render_composition(comp, "composition", "  "));
-        }
-        if let Some(defense) = &self.composition_defense {
-            out.push_str(",\n  \"composition_defense\": {\n");
-            out.push_str(&format!(
-                "    \"k\": {}, \"overlap\": {:.2}, \"wall_ms\": {:.3},\n",
-                defense.k, defense.overlap, defense.wall_ms
-            ));
-            out.push_str("    \"rows\": [\n");
-            for (i, row) in defense.rows.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{ \"policy\": \"{}\", \"releases\": {}, \"residual_gain\": {:.1}, \"undefended_gain\": {:.1}, \"mean_candidates\": {:.2}, \"utility_cost\": {:.1} }}{}\n",
-                    row.policy,
-                    row.releases,
-                    row.residual_gain,
-                    row.undefended_gain,
-                    row.mean_candidates,
-                    row.utility_cost,
-                    if i + 1 < defense.rows.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("    ]\n  }");
-        }
-        if let Some(eval) = &self.eval {
-            out.push_str(",\n  \"eval\": {\n");
-            out.push_str(&format!("    \"wall_ms\": {:.3},\n", eval.wall_ms));
-            out.push_str("    \"rows\": [\n");
-            for (i, row) in eval.rows.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{ \"k\": {}, \"releases\": {}, \"defense\": \"{}\", \"targets\": {}, \"decoys\": {}, \"auc\": {:.4}, \"tpr_at_fpr3\": {:.4}, \"epsilon\": {:.4} }}{}\n",
-                    row.k,
-                    row.releases,
-                    row.defense,
-                    row.targets,
-                    row.decoys,
-                    row.auc,
-                    row.tpr_at_fpr3,
-                    row.epsilon,
-                    if i + 1 < eval.rows.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("    ]\n  }");
-        }
-        if let Some(rob) = &self.robustness {
-            out.push_str(",\n  \"robustness\": {\n");
-            out.push_str(&format!(
-                "    \"max_rate\": {:.3}, \"seed\": {}, \"wall_ms\": {:.3},\n",
-                rob.max_rate, rob.seed, rob.wall_ms
-            ));
-            out.push_str("    \"rows\": [\n");
-            for (i, row) in rob.rows.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{ \"fault_rate\": {:.3}, \"mode\": \"{}\", \"harvest_precision\": {:.4}, \"harvest_coverage\": {:.4}, \"composition_gain\": {:.1}, \"pages_rejected\": {}, \"rows_skipped\": {}, \"fields_imputed\": {}, \"workers_restarted\": {}, \"shards_lost\": {} }}{}\n",
-                    row.fault_rate,
-                    row.mode,
-                    row.harvest_precision,
-                    row.harvest_coverage,
-                    row.composition_gain,
-                    row.pages_rejected,
-                    row.rows_skipped,
-                    row.fields_imputed,
-                    row.workers_restarted,
-                    row.shards_lost,
-                    if i + 1 < rob.rows.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("    ]\n  }");
-        }
-        if let Some(rec) = &self.recovery {
-            out.push_str(",\n  \"recovery\": {\n");
-            out.push_str(&format!(
-                "    \"seed\": {}, \"transient_rate\": {:.3}, \"max_attempts\": {}, \"retries_total\": {}, \"escaped_panics\": {},\n",
-                rec.seed, rec.transient_rate, rec.max_attempts, rec.retries_total, rec.escaped_panics
-            ));
-            out.push_str("    \"rows\": [\n");
-            for (i, row) in rec.rows.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{ \"stage\": \"{}\", \"attempts\": {}, \"retries\": {}, \"backoff_ms\": {:.3} }}{}\n",
-                    row.stage,
-                    row.attempts,
-                    row.retries,
-                    row.backoff_ms,
-                    if i + 1 < rec.rows.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("    ]\n  }");
-        }
-        if let Some(prof) = &self.profile {
-            out.push_str(",\n  \"profile\": {\n");
-            out.push_str(&format!(
-                "    \"deterministic\": {}, \"spans_total\": {}, \"events_total\": {}, \"span_tree_digest\": \"{}\",\n",
-                prof.deterministic, prof.spans_total, prof.events_total, prof.span_tree_digest
-            ));
-            out.push_str(&format!(
-                "    \"overhead\": {{ \"probe_calls\": {}, \"wall_ms\": {:.3}, \"pct_of_large\": {:.3} }},\n",
-                prof.overhead_probe_calls, prof.overhead_wall_ms, prof.overhead_pct_of_large
-            ));
-            out.push_str("    \"stages\": [\n");
-            for (i, row) in prof.stages.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{ \"stage\": \"{}\", \"self_ms\": {:.3}, \"spans\": {} }}{}\n",
-                    row.stage,
-                    row.self_ms,
-                    row.spans,
-                    if i + 1 < prof.stages.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("    ],\n    \"counters\": [\n");
-            for (i, (name, value)) in prof.counters.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{ \"counter\": \"{name}\", \"value\": {value} }}{}\n",
-                    if i + 1 < prof.counters.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("    ],\n    \"hists\": [\n");
-            for (i, row) in prof.hists.iter().enumerate() {
-                let buckets = row
-                    .buckets
-                    .iter()
-                    .map(|b| b.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                out.push_str(&format!(
-                    "      {{ \"hist\": \"{}\", \"count\": {}, \"sum_ms\": {:.3}, \"buckets\": [{}] }}{}\n",
-                    row.name,
-                    row.count,
-                    row.sum_ms,
-                    buckets,
-                    if i + 1 < prof.hists.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("    ]\n  }");
-        }
-        out.push('\n');
-        out.push_str("}\n");
-        out
+        json::render(&self.to_value(), &bench_decimals) + "\n"
+    }
+
+    /// Every timed stage: the quick world's, then the large and sharded
+    /// blocks' (one namespace — the names never collide).
+    pub fn all_stages(&self) -> impl Iterator<Item = &StageTiming> {
+        let large = self.large.iter().flat_map(|l| &l.stages);
+        let sharded = self.large_100k.iter().flat_map(|b| &b.stages);
+        self.stages.iter().chain(large).chain(sharded)
     }
 
     /// One-screen human summary for the terminal.
@@ -928,11 +1198,7 @@ impl QuickBench {
                     row.harvest_precision,
                     row.harvest_coverage,
                     row.composition_gain,
-                    row.pages_rejected
-                        + row.rows_skipped
-                        + row.fields_imputed
-                        + row.workers_restarted
-                        + row.shards_lost
+                    row.defects()
                 ));
             }
         }
@@ -1087,11 +1353,15 @@ pub fn quick_bench(
                 label: rstage::WORLD_BUILD.to_string(),
                 rows,
                 content_hash,
-                timings: vec![(sn::WORLD_BUILD.to_string(), t(wall), rows)],
+                timings: vec![StageTiming {
+                    name: sn::WORLD_BUILD,
+                    wall_ms: t(wall),
+                    rows,
+                }],
             }
         })
     });
-    push_anchor_timings(&mut stages, &anchor);
+    stages.extend(anchor.timings);
     let world = world_slot.expect("world anchor always computes");
 
     // Stage 2: MDAV at the tracked level (the ROADMAP's `mdav_k5`) plus
@@ -1140,17 +1410,21 @@ pub fn quick_bench(
                 rows: world.table.len(),
                 content_hash: digest.finish(),
                 timings: vec![
-                    (sn::MDAV_K5.to_string(), t(mdav_wall), world.table.len()),
-                    (
-                        sn::ANONYMIZE_ALL_LEVELS.to_string(),
-                        t(anon_wall),
-                        world.table.len() * ks.len(),
-                    ),
+                    StageTiming {
+                        name: sn::MDAV_K5,
+                        wall_ms: t(mdav_wall),
+                        rows: world.table.len(),
+                    },
+                    StageTiming {
+                        name: sn::ANONYMIZE_ALL_LEVELS,
+                        wall_ms: t(anon_wall),
+                        rows: world.table.len() * ks.len(),
+                    },
                 ],
             }
         })
     });
-    push_anchor_timings(&mut stages, &anchor);
+    stages.extend(anchor.timings);
     let releases = releases_slot.expect("mdav anchor always computes");
 
     // Stage 3: auxiliary harvest (shared across levels, like the sweep).
@@ -1167,15 +1441,15 @@ pub fn quick_bench(
                 label: rstage::HARVEST.to_string(),
                 rows: world.table.len(),
                 content_hash,
-                timings: vec![(
-                    sn::HARVEST_AUXILIARY.to_string(),
-                    t(wall),
-                    world.table.len(),
-                )],
+                timings: vec![StageTiming {
+                    name: sn::HARVEST_AUXILIARY,
+                    wall_ms: t(wall),
+                    rows: world.table.len(),
+                }],
             }
         })
     });
-    push_anchor_timings(&mut stages, &anchor);
+    stages.extend(anchor.timings);
     let harvest = harvest_slot.expect("harvest anchor always computes");
 
     // Stages 4+5: the measured comparison — identical inputs through the
@@ -1190,29 +1464,33 @@ pub fn quick_bench(
                 naive, batch,
                 "batch path must be bit-identical to the naive path"
             );
-            EstimatesArtifact {
-                naive_ms: t(naive_wall),
-                batch_ms: t(batch_wall),
+            StageAnchor {
+                label: rstage::ESTIMATES.to_string(),
                 rows: estimate_rows,
-                speedup: if det || batch_wall <= 0.0 {
-                    0.0
-                } else {
-                    naive_wall / batch_wall
-                },
-                estimate_hash: digest_bits(&naive),
+                content_hash: digest_bits(&naive),
+                timings: vec![
+                    StageTiming {
+                        name: sn::ESTIMATE_NAIVE_PER_ROW,
+                        wall_ms: t(naive_wall),
+                        rows: estimate_rows,
+                    },
+                    StageTiming {
+                        name: sn::ESTIMATE_BATCH_PARALLEL,
+                        wall_ms: t(batch_wall),
+                        rows: estimate_rows,
+                    },
+                ],
             }
         })
     });
-    stages.push(StageTiming {
-        name: sn::ESTIMATE_NAIVE_PER_ROW,
-        wall_ms: estimates.naive_ms,
-        rows: estimates.rows,
-    });
-    stages.push(StageTiming {
-        name: sn::ESTIMATE_BATCH_PARALLEL,
-        wall_ms: estimates.batch_ms,
-        rows: estimates.rows,
-    });
+    // Zeroed walls (deterministic mode) give the 0.0 sentinel.
+    let (naive_ms, batch_ms) = (estimates.timings[0].wall_ms, estimates.timings[1].wall_ms);
+    let speedup_batch_vs_naive = if batch_ms > 0.0 {
+        naive_ms / batch_ms
+    } else {
+        0.0
+    };
+    stages.extend(estimates.timings);
 
     // Stage 6: the full parallel sweep end-to-end (what figures 4-7 run).
     let before = MidpointEstimator::default();
@@ -1233,17 +1511,14 @@ pub fn quick_bench(
                 )
                 .expect("quick-bench sweep succeeds")
             });
-            SweepArtifact {
+            StageTiming {
+                name: sn::SWEEP_END_TO_END,
                 wall_ms: t(wall),
                 rows: world.table.len() * ks.len(),
             }
         })
     });
-    stages.push(StageTiming {
-        name: sn::SWEEP_END_TO_END,
-        wall_ms: sweep_stage.wall_ms,
-        rows: sweep_stage.rows,
-    });
+    stages.push(sweep_stage);
 
     // Stage 7 (optional): the composition attack at the tracked k.
     let composition = compose.then(|| {
@@ -1393,16 +1668,7 @@ pub fn quick_bench(
         retries_total: runner.retries_total(),
         quarantined_total: runner.quarantined_total(),
         escaped_panics: 0,
-        rows: runner
-            .reports()
-            .iter()
-            .map(|r| RecoveryBenchRow {
-                stage: r.stage.clone(),
-                attempts: r.attempts,
-                retries: r.retries,
-                backoff_ms: r.backoff_ms,
-            })
-            .collect(),
+        rows: runner.reports().to_vec(),
         resumed: runner.resumed(),
     });
 
@@ -1415,7 +1681,7 @@ pub fn quick_bench(
         cores: rayon::current_num_threads(),
         k_range: (k_min, k_max),
         stages,
-        speedup_batch_vs_naive: estimates.speedup,
+        speedup_batch_vs_naive,
         large,
         large_100k,
         composition,
@@ -1539,18 +1805,6 @@ fn config_fingerprint(
     d.u64(options.exhaustive as u64);
     d.u64(options.faults.map_or(u64::MAX, |r| r.to_bits()));
     d.finish()
-}
-
-/// Copies an anchor's timing rows into the bench's stage list,
-/// re-interning the stage names into the `&'static str` roster.
-fn push_anchor_timings(stages: &mut Vec<StageTiming>, anchor: &StageAnchor) {
-    for (name, wall_ms, rows) in &anchor.timings {
-        stages.push(StageTiming {
-            name: intern_stage_name(name).expect("anchor timing names are in the stage roster"),
-            wall_ms: *wall_ms,
-            rows: *rows,
-        });
-    }
 }
 
 /// XOR-folded into the world seed to derive the fault-plan seed, so the
@@ -1966,8 +2220,8 @@ fn eval_bench(world: &crate::world::World, policies: Option<&[DefensePolicy]>) -
 
 /// Runs the composition sweep (`R = 1..=3` at the tracked k) on a world
 /// and extracts the gated series. Every recorded value is asserted
-/// finite: a NaN here would vanish from the line-oriented baseline
-/// parser and silently dodge the monotonicity gate.
+/// finite: NaN compares false, so a NaN gain would dodge the
+/// monotonicity gate — fail here, at the source.
 fn composition_bench(world: &crate::world::World) -> CompositionBench {
     let fusion = FuzzyFusion::new(FuzzyFusionConfig::default()).expect("default config valid");
     let config = CompositionSweepConfig {
@@ -2586,9 +2840,9 @@ mod tests {
         assert!(json.contains("\"speedup_harvest_parallel_vs_single\""));
         assert!(json.contains("\"harvest_single_thread_large\""));
         assert!(!json.contains("\"composition_large\""));
-        // The large block records its own cores line next to its size.
+        // The large block records its own cores next to its size.
         assert!(json.contains(&format!(
-            "    \"size\": {},\n    \"cores\": {},\n",
+            "    \"size\": {}, \"cores\": {},\n",
             large.size, large.cores
         )));
         let ascii = bench.to_ascii();

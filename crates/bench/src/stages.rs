@@ -65,9 +65,8 @@ pub const INTERSECT_SHARDED_100K: &str = "intersect_sharded_100k";
 pub const EQUIVALENCE_100K: &str = "equivalence_100k";
 
 /// Every timed stage name a baseline may carry, quick then large, in
-/// emission order. `ckpt.rs` interns parsed names against this roster (a
-/// checkpoint naming a stage outside it is corrupt or stale) and
-/// `compare.rs` treats membership as the timing-stage namespace.
+/// emission order. [`intern`] decodes parsed names against it: a
+/// checkpoint or baseline naming a stage outside it is corrupt or stale.
 pub const TIMING_ROSTER: &[&str] = &[
     WORLD_BUILD,
     MDAV_K5,
@@ -96,6 +95,12 @@ pub const TIMING_ROSTER: &[&str] = &[
     INTERSECT_SHARDED_100K,
     EQUIVALENCE_100K,
 ];
+
+/// Interns a parsed stage name back to its `&'static str` in
+/// [`TIMING_ROSTER`]; `None` for a name this build does not know.
+pub fn intern(name: &str) -> Option<&'static str> {
+    TIMING_ROSTER.iter().find(|&&n| n == name).copied()
+}
 
 /// Checkpoint/runner stage names: the boundaries [`fred_recover`]'s
 /// stage runner commits, retries and resumes at, and the span names the

@@ -14,13 +14,24 @@
 //! documented fire/stay-silent decision a committed artifact.
 
 use fred_bench::compare::{compare_baselines, parse_baseline};
+use fred_bench::perf::CompositionBench;
 
 const CLEAN: &str = include_str!("fixtures/bench_clean.json");
 const POISONED: &str = include_str!("fixtures/bench_poisoned.json");
 
+/// `(releases, disclosure_gain, mean_candidates)` per composition row.
+fn triples(comp: &CompositionBench) -> Vec<(usize, f64, f64)> {
+    comp.rows
+        .iter()
+        .map(|r| (r.releases, r.disclosure_gain, r.mean_candidates))
+        .collect()
+}
+
 #[test]
 fn clean_fixture_parses_every_documented_block() {
-    let b = parse_baseline(CLEAN);
+    let parsed = parse_baseline(CLEAN);
+    let b = &parsed.bench;
+    let wall = |name: &str| b.all_stages().find(|s| s.name == name).map(|s| s.wall_ms);
     // Stages from both worlds share one namespace; the defense stage is
     // a first-class timed stage.
     for stage in [
@@ -40,29 +51,36 @@ fn clean_fixture_parses_every_documented_block() {
         "equivalence_100k",
     ] {
         assert!(
-            b.stage_wall_ms.contains_key(stage),
+            wall(stage).is_some(),
             "stage `{stage}` missing from the parsed clean fixture"
         );
     }
-    assert_eq!(b.cores, Some(1));
-    assert_eq!(b.large_cores, Some(1));
-    assert_eq!(b.speedup_batch_vs_naive, Some(5.38));
+    let large = b
+        .large
+        .as_ref()
+        .expect("clean fixture carries the large block");
+    assert_eq!(b.cores, 1);
+    assert_eq!(large.cores, 1);
+    assert_eq!(b.speedup_batch_vs_naive, 5.38);
     // The sampled reference records its sample size, not the world size.
-    assert_eq!(
-        b.stage_wall_ms.get("harvest_sequential_large"),
-        Some(&92.126)
-    );
+    assert_eq!(wall("harvest_sequential_large"), Some(92.126));
     // Both composition series, attributed to their own blocks.
+    let quick = triples(b.composition.as_ref().expect("quick composition"));
+    let large_comp = triples(large.composition.as_ref().expect("large composition"));
     let releases = |rows: &[(usize, f64, f64)]| rows.iter().map(|r| r.0).collect::<Vec<_>>();
-    assert_eq!(releases(&b.composition), vec![1, 2, 3]);
-    assert_eq!(releases(&b.composition_large), vec![1, 2, 3]);
-    assert_eq!(b.composition[2], (3, 8377.8, 1.88));
-    assert_eq!(b.composition_large[2], (3, 2306.2, 1.50));
+    assert_eq!(releases(&quick), vec![1, 2, 3]);
+    assert_eq!(releases(&large_comp), vec![1, 2, 3]);
+    assert_eq!(quick[2], (3, 8377.8, 1.88));
+    assert_eq!(large_comp[2], (3, 2306.2, 1.50));
     // The defense block: nine rows (three policies x three Rs), its own k.
-    assert_eq!(b.defense_k, Some(5));
-    assert_eq!(b.composition_defense.len(), 9);
-    let coordinated: Vec<_> = b
+    let defense = b
         .composition_defense
+        .as_ref()
+        .expect("clean fixture carries the defense block");
+    assert_eq!(defense.k, 5);
+    assert_eq!(defense.rows.len(), 9);
+    let coordinated: Vec<_> = defense
+        .rows
         .iter()
         .filter(|r| r.policy == "coordinated_seeds")
         .collect();
@@ -70,8 +88,8 @@ fn clean_fixture_parses_every_documented_block() {
     assert_eq!(coordinated[2].releases, 3);
     assert_eq!(coordinated[2].residual_gain, -4148.1);
     assert_eq!(coordinated[2].undefended_gain, 8377.8);
-    let widen: Vec<_> = b
-        .composition_defense
+    let widen: Vec<_> = defense
+        .rows
         .iter()
         .filter(|r| r.policy == "calibrated_widen_k5")
         .collect();
@@ -80,16 +98,17 @@ fn clean_fixture_parses_every_documented_block() {
     // The robustness block: zero-fault reference row first, defect-free,
     // then the two faulted rows with their skip-and-count totals pooled
     // into `defects`.
-    assert_eq!(b.robustness.len(), 3);
-    assert_eq!(b.robustness[0].fault_rate, 0.0);
-    assert_eq!(b.robustness[0].harvest_precision, 1.0);
-    assert_eq!(b.robustness[0].composition_gain, 8377.8);
-    assert_eq!(b.robustness[0].defects, 0);
-    assert_eq!(b.robustness[1].defects, 14 + 5 + 9 + 6 + 2);
-    assert_eq!(b.robustness[1].shards_lost, 2);
-    assert_eq!(b.robustness[2].fault_rate, 0.1);
-    assert_eq!(b.robustness[2].defects, 31 + 11 + 17 + 13 + 4);
-    assert_eq!(b.robustness[2].shards_lost, 4);
+    let rob = &b.robustness.as_ref().expect("robustness block").rows;
+    assert_eq!(rob.len(), 3);
+    assert_eq!(rob[0].fault_rate, 0.0);
+    assert_eq!(rob[0].harvest_precision, 1.0);
+    assert_eq!(rob[0].composition_gain, 8377.8);
+    assert_eq!(rob[0].defects(), 0);
+    assert_eq!(rob[1].defects(), 14 + 5 + 9 + 6 + 2);
+    assert_eq!(rob[1].shards_lost, 2);
+    assert_eq!(rob[2].fault_rate, 0.1);
+    assert_eq!(rob[2].defects(), 31 + 11 + 17 + 13 + 4);
+    assert_eq!(rob[2].shards_lost, 4);
     // The sharded-scale block: shard accounting dense and covering, the
     // three digest pairs agreeing, and the peak-rss witness.
     let big = b
@@ -101,25 +120,21 @@ fn clean_fixture_parses_every_documented_block() {
     assert_eq!(big.sample_rows, 2048);
     assert_eq!(big.peak_rss_mb, 612.4);
     assert_eq!(big.shard_rows.len(), 8);
-    assert_eq!(big.shard_rows.iter().map(|r| r.1).sum::<usize>(), 100_000);
-    assert_eq!(big.digests.len(), 6);
     assert_eq!(
-        big.digests.get("harvest_sharded"),
-        big.digests.get("harvest_unsharded")
+        big.shard_rows.iter().map(|r| r.rows).sum::<usize>(),
+        100_000
     );
-    assert_eq!(
-        big.digests.get("intersect_sharded"),
-        Some(&"e6b20a9f7d1c5438".to_owned())
-    );
+    assert_eq!(big.harvest_digest_sharded, big.harvest_digest_unsharded);
+    assert_eq!(big.intersect_digest_sharded, 0xe6b2_0a9f_7d1c_5438);
     // Every shard row carries the cap-saturation flag, false below the
     // 64-shard derivation ceiling.
-    assert!(big.shard_rows.iter().all(|r| !r.3));
+    assert!(big.shard_rows.iter().all(|r| !r.capped));
     // The hypothesis-testing eval block: four undefended cells, one per
     // deployed defense at the stage (k, R), every metric finite.
-    assert_eq!(b.eval.len(), 7);
-    assert_eq!(b.eval.iter().filter(|r| r.defense == "none").count(), 4);
-    let top = b
-        .eval
+    let eval = &b.eval.as_ref().expect("eval block").rows;
+    assert_eq!(eval.len(), 7);
+    assert_eq!(eval.iter().filter(|r| r.defense == "none").count(), 4);
+    let top = eval
         .iter()
         .find(|r| r.k == 5 && r.releases == 3 && r.defense == "none")
         .expect("undefended stage cell present");
@@ -128,8 +143,7 @@ fn clean_fixture_parses_every_documented_block() {
         (top.auc, top.tpr_at_fpr3, top.epsilon),
         (0.9984, 0.9167, 4.5499)
     );
-    assert!(b
-        .eval
+    assert!(eval
         .iter()
         .any(|r| r.defense == "coordinated_seeds" && r.epsilon == 1.6917));
     // The profile block: header, overhead, one self-time row per runner
@@ -143,14 +157,19 @@ fn clean_fixture_parses_every_documented_block() {
     assert_eq!(prof.stages.len(), 10);
     assert!(prof.stages.iter().any(|s| s.stage == "mdav"));
     assert!(prof.stages.iter().any(|s| s.stage == "eval"));
-    assert_eq!(prof.counters.get("faults.pages_rejected"), Some(&45));
-    assert_eq!(prof.counters.get("faults.workers_restarted"), Some(&19));
-    assert_eq!(prof.counters.get("faults.shards_lost"), Some(&6));
+    assert_eq!(prof.counter("faults.pages_rejected"), Some(45));
+    assert_eq!(prof.counter("faults.workers_restarted"), Some(19));
+    assert_eq!(prof.counter("faults.shards_lost"), Some(6));
     // The latency histogram the obs-reconciliation gate reads, agreeing
     // with its counter to the unit.
-    assert_eq!(prof.counters.get("harvest.names"), Some(&226));
-    assert_eq!(prof.hists.get("harvest.name_ms"), Some(&(226, 7.150)));
-    assert!(b.malformed_rows.is_empty(), "{:?}", b.malformed_rows);
+    assert_eq!(prof.counter("harvest.names"), Some(226));
+    let hist = prof.hist("harvest.name_ms").expect("latency histogram");
+    assert_eq!((hist.count, hist.sum_ms), (226, 7.150));
+    assert!(
+        parsed.malformed_rows.is_empty(),
+        "{:?}",
+        parsed.malformed_rows
+    );
 }
 
 #[test]
@@ -179,24 +198,26 @@ fn clean_self_diff_stays_silent_and_notes_every_series() {
 
 #[test]
 fn poisoned_fresh_run_fires_exactly_the_documented_gates() {
-    let b = parse_baseline(POISONED);
+    let parsed = parse_baseline(POISONED);
+    let b = &parsed.bench;
     // All three NaN rows (composition, robustness, eval ε) must surface
     // as malformed, not silently drop.
-    assert_eq!(b.malformed_rows.len(), 3, "{:?}", b.malformed_rows);
-    assert!(b.malformed_rows.iter().all(|l| l.contains("NaN")));
+    let malformed = &parsed.malformed_rows;
+    assert_eq!(malformed.len(), 3, "{malformed:?}");
+    assert!(malformed.iter().all(|l| l.contains("NaN")));
     // The NaN ε row drops out of the parsed eval series; the drifted
     // undefended cell and the impossible defended cell stay in.
-    assert_eq!(b.eval.len(), 2);
+    assert_eq!(b.eval.as_ref().expect("eval block").rows.len(), 2);
     // The defense block is gone entirely.
-    assert!(b.composition_defense.is_empty());
-    assert_eq!(b.defense_k, None);
+    assert!(b.composition_defense.is_none());
     // The NaN robustness row drops out of the parsed series; the other
     // two — the dirty zero row and the collapsed 10% row — stay in.
-    assert_eq!(b.robustness.len(), 2);
-    assert_eq!(b.robustness[0].defects, 2);
+    let rob = &b.robustness.as_ref().expect("robustness block").rows;
+    assert_eq!(rob.len(), 2);
+    assert_eq!(rob[0].defects(), 2);
     // Pre-shard-loss rows parse with zero lost shards, so the counter
     // reconciliation stays silent on the absent `faults.shards_lost`.
-    assert!(b.robustness.iter().all(|r| r.shards_lost == 0));
+    assert!(rob.iter().all(|r| r.shards_lost == 0));
     // The poisoned sharded block parses structurally — its defects are
     // semantic (a vanished shard row, a blown memory ceiling), caught by
     // the gates below, not by the parser.
@@ -397,8 +418,41 @@ fn vanished_eval_block_fires_the_disappearance_gate() {
         stripped.push_str(line);
         stripped.push('\n');
     }
-    assert!(!parse_baseline(&stripped).eval.iter().any(|_| true));
+    assert!(parse_baseline(&stripped).bench.eval.is_none());
     let report = compare_baselines(CLEAN, &stripped);
     assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
     assert!(report.violations[0].contains("eval (hypothesis-testing) block disappeared"));
+}
+
+#[test]
+fn baseline_torn_at_any_row_boundary_refuses_to_gate() {
+    // A torn write that happens to end on a closing brace or bracket
+    // still must not gate: a half-file has silently lost every block
+    // after the cut, so each truncation is structurally corrupt, on
+    // either side of the diff, with nothing but structural violations.
+    let lines: Vec<&str> = CLEAN.lines().collect();
+    let mut torn = String::new();
+    for line in &lines[..lines.len() - 1] {
+        torn.push_str(line);
+        torn.push('\n');
+        if !(line.ends_with('}') || line.ends_with(']')) {
+            continue;
+        }
+        let b = parse_baseline(&torn);
+        assert!(!b.structural_errors.is_empty(), "torn at {line:?} parsed");
+        for report in [
+            compare_baselines(&torn, CLEAN),
+            compare_baselines(CLEAN, &torn),
+        ] {
+            assert!(!report.violations.is_empty(), "torn at {line:?} gated");
+            assert!(
+                report
+                    .violations
+                    .iter()
+                    .all(|v| v.contains("structurally corrupt")),
+                "torn at {line:?}: {:?}",
+                report.violations
+            );
+        }
+    }
 }

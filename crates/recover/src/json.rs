@@ -1,13 +1,15 @@
-//! Minimal JSON reader for checkpoint envelopes and artifact payloads.
+//! Minimal JSON reader and writer for checkpoint envelopes, artifact
+//! payloads and `BENCH_sweep.json`.
 //!
-//! The workspace writes all of its JSON by hand (there is no serde in the
-//! offline build), so the recovery layer only needs the *reading* half: a
-//! small recursive-descent parser producing a [`Value`] tree, plus the
-//! accessors checkpoint loading uses. Two deliberate deviations from
-//! strict JSON match what Rust's `{:?}` float formatting emits inside
-//! artifacts: the bare tokens `NaN`, `inf` and `-inf` parse as their f64
-//! counterparts, so a checkpointed non-finite metric round-trips instead
-//! of poisoning the whole envelope.
+//! The workspace has no serde in the offline build, so this module is
+//! the whole JSON layer: a small recursive-descent parser producing a
+//! [`Value`] tree, the accessors and constructors artifacts use, and one
+//! writer, [`render`]. Two deliberate deviations from strict JSON match
+//! what Rust's float formatting emits: the bare tokens `NaN`, `inf` and
+//! `-inf` parse as their f64 counterparts, so a non-finite metric
+//! round-trips instead of poisoning the whole document.
+
+use std::fmt::Write;
 
 /// A parsed JSON value. Object keys keep insertion order; numbers are
 /// all `f64`, which round-trips every integer the artifacts store
@@ -45,6 +47,15 @@ impl Value {
         }
     }
 
+    /// The value as a `u64`, if it is a whole non-negative number.
+    /// Integers past 2^53 come back as the nearest f64 they parsed to.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            _ => None,
+        }
+    }
+
     /// The value as a non-negative integer, if it is a whole number.
     pub fn as_usize(&self) -> Option<usize> {
         match self {
@@ -78,6 +89,145 @@ impl Value {
             _ => None,
         }
     }
+
+    /// The value as a 64-bit integer written by [`hex`].
+    pub fn as_hex(&self) -> Option<u64> {
+        u64::from_str_radix(self.as_str()?, 16).ok()
+    }
+
+    /// An object from `(key, value)` pairs, keys in the given order.
+    pub fn obj<'a>(pairs: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+        Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+}
+
+impl From<f64> for Value {
+    fn from(n: f64) -> Value {
+        Value::Num(n)
+    }
+}
+
+impl From<usize> for Value {
+    fn from(n: usize) -> Value {
+        Value::Num(n as f64)
+    }
+}
+
+impl From<u64> for Value {
+    fn from(n: u64) -> Value {
+        Value::Num(n as f64)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Value {
+        Value::Bool(b)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.to_string())
+    }
+}
+
+/// A 64-bit integer as a 16-digit hex string: digests and fingerprints
+/// use every bit, and JSON numbers (f64) are exact only below 2^53.
+pub fn hex(n: u64) -> Value {
+    Value::Str(format!("{n:016x}"))
+}
+
+/// Renders a value as JSON text in the workspace's one layout.
+///
+/// `decimals` gives the fixed number of decimals a number renders with
+/// under its object key (array elements inherit the array's key). A
+/// number it maps to `None` renders in shortest round-trip form, whole
+/// numbers without a fraction, so `parse(&render(v, &|_| None)) == v`
+/// bit for bit — the form checkpoints use.
+///
+/// Layout: an object whose values are all scalars or arrays of scalars,
+/// and an array of scalars, render on one line. Any other array puts
+/// one element per line; any other object puts each container member on
+/// its own line and runs of consecutive scalar members on a shared line.
+/// Nesting indents by two spaces.
+pub fn render(value: &Value, decimals: &dyn Fn(&str) -> Option<usize>) -> String {
+    let mut out = String::new();
+    write_value(&mut out, value, "", 0, decimals).expect("writing to a String cannot fail");
+    out
+}
+
+fn is_scalar(value: &Value) -> bool {
+    !matches!(value, Value::Arr(_) | Value::Obj(_))
+}
+
+/// One-line material: scalars, arrays of scalars, and objects holding
+/// only those.
+fn is_flat(value: &Value) -> bool {
+    match value {
+        Value::Arr(items) => items.iter().all(is_scalar),
+        Value::Obj(pairs) => pairs
+            .iter()
+            .all(|(_, v)| !matches!(v, Value::Obj(_)) && is_flat(v)),
+        _ => true,
+    }
+}
+
+fn write_value(
+    out: &mut String,
+    value: &Value,
+    key: &str,
+    indent: usize,
+    decimals: &dyn Fn(&str) -> Option<usize>,
+) -> std::fmt::Result {
+    let inner = " ".repeat(indent + 2);
+    match value {
+        Value::Null => out.write_str("null"),
+        Value::Bool(b) => write!(out, "{b}"),
+        Value::Num(n) => match decimals(key) {
+            Some(places) => write!(out, "{n:.places$}"),
+            None if n.fract() == 0.0 => write!(out, "{n}"),
+            None => write!(out, "{n:?}"),
+        },
+        Value::Str(s) => write!(out, "\"{}\"", escape(s)),
+        Value::Arr(items) if is_flat(value) => {
+            out.write_char('[')?;
+            for (i, item) in items.iter().enumerate() {
+                out.write_str(if i == 0 { "" } else { ", " })?;
+                write_value(out, item, key, indent, decimals)?;
+            }
+            out.write_char(']')
+        }
+        Value::Arr(items) => {
+            out.write_char('[')?;
+            for (i, item) in items.iter().enumerate() {
+                write!(out, "{}\n{inner}", if i == 0 { "" } else { "," })?;
+                write_value(out, item, key, indent + 2, decimals)?;
+            }
+            write!(out, "\n{}]", " ".repeat(indent))
+        }
+        Value::Obj(pairs) if pairs.is_empty() => out.write_str("{}"),
+        Value::Obj(pairs) if is_flat(value) => {
+            out.write_str("{ ")?;
+            for (i, (k, v)) in pairs.iter().enumerate() {
+                write!(out, "{}\"{}\": ", if i == 0 { "" } else { ", " }, escape(k))?;
+                write_value(out, v, k, indent, decimals)?;
+            }
+            out.write_str(" }")
+        }
+        Value::Obj(pairs) => {
+            out.write_char('{')?;
+            for (i, (k, v)) in pairs.iter().enumerate() {
+                if i > 0 && is_scalar(v) && is_scalar(&pairs[i - 1].1) {
+                    out.write_str(", ")?;
+                } else {
+                    write!(out, "{}\n{inner}", if i == 0 { "" } else { "," })?;
+                }
+                write!(out, "\"{}\": ", escape(k))?;
+                write_value(out, v, k, indent + 2, decimals)?;
+            }
+            write!(out, "\n{}}}", " ".repeat(indent))
+        }
+    }
 }
 
 /// Parses one JSON document. Returns `None` on any syntax error or on
@@ -95,7 +245,7 @@ pub fn parse(text: &str) -> Option<Value> {
     }
 }
 
-/// Escapes a string for embedding in hand-rolled JSON output.
+/// Escapes a string for embedding in JSON output.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
@@ -313,6 +463,67 @@ mod tests {
         assert_eq!(parse("42").unwrap().as_usize(), Some(42));
         assert_eq!(parse("4.2").unwrap().as_usize(), None);
         assert_eq!(parse("-1").unwrap().as_usize(), None);
+    }
+
+    #[test]
+    fn canonical_render_round_trips_bit_exactly() {
+        for x in [
+            0.0,
+            -0.0,
+            120.0,
+            1.0 / 3.0,
+            0.1 + 0.2,
+            8377.8,
+            f64::MIN_POSITIVE,
+            1e300,
+            -1e-300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            let text = render(&Value::Arr(vec![x.into()]), &|_| None);
+            let back = parse(&text).unwrap().as_arr().unwrap()[0].as_f64().unwrap();
+            assert_eq!(back.to_bits(), x.to_bits(), "{text}");
+        }
+        // Whole numbers render without a fraction, as counts read.
+        assert_eq!(render(&120usize.into(), &|_| None), "120");
+        assert_eq!(render(&hex(0xbeef), &|_| None), "\"000000000000beef\"");
+        assert_eq!(
+            parse("\"000000000000beef\"").unwrap().as_hex(),
+            Some(0xbeef)
+        );
+    }
+
+    #[test]
+    fn render_fixes_decimals_by_key_and_lays_out_by_shape() {
+        let row = Value::obj([
+            ("releases", 1usize.into()),
+            ("gain", 8377.8123.into()),
+            ("buckets", Value::Arr(vec![2usize.into(), 0usize.into()])),
+        ]);
+        let doc = Value::obj([
+            (
+                "config",
+                Value::obj([("size", 120usize.into()), ("seed", 2015usize.into())]),
+            ),
+            ("k", 5usize.into()),
+            ("overlap", 0.5.into()),
+            ("rows", Value::Arr(vec![row])),
+            ("empty", Value::Arr(Vec::new())),
+        ]);
+        let decimals = |key: &str| match key {
+            "overlap" => Some(2),
+            "gain" => Some(1),
+            _ => None,
+        };
+        let text = render(&doc, &decimals);
+        assert_eq!(
+            text,
+            "{\n  \"config\": { \"size\": 120, \"seed\": 2015 },\n  \"k\": 5, \"overlap\": 0.50,\n  \
+             \"rows\": [\n    { \"releases\": 1, \"gain\": 8377.8, \"buckets\": [2, 0] }\n  ],\n  \
+             \"empty\": []\n}"
+        );
+        assert!(parse(&text).is_some());
     }
 
     #[test]

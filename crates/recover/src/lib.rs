@@ -8,7 +8,7 @@
 //! durable:
 //!
 //! - [`StageRunner::run`] wraps a stage in a checkpoint protocol: the
-//!   stage's artifact is serialized to canonical JSON, checksummed
+//!   stage's [`Artifact`] is rendered to canonical JSON, checksummed
 //!   (FNV-1a 64 over the exact payload bytes) and committed atomically
 //!   (temp file + rename) at the stage boundary. On a resumed run a
 //!   valid checkpoint short-circuits the stage entirely.
@@ -95,20 +95,45 @@ impl RetryPolicy {
     }
 }
 
-/// A stage result that can round-trip through a checkpoint: serialized
-/// to a canonical JSON payload and reconstructed from the parsed value.
+/// A value that round-trips through JSON: the one declaration of its
+/// JSON shape, shared by checkpoints and any document embedding it (the
+/// bench blocks in `fred-bench` are both checkpoint artifacts and blocks
+/// of `BENCH_sweep.json`).
 ///
-/// Implementations must be *canonical*: `to_payload` output depends only
-/// on the artifact's value (floats via `{:?}`, Rust's shortest
-/// round-trip form), and `from_payload(parse(to_payload(a))) == Some(a)`.
-pub trait Artifact {
-    /// Renders the artifact as one canonical JSON value.
-    fn to_payload(&self) -> String;
-    /// Rebuilds the artifact from a parsed payload; `None` if the shape
-    /// is wrong (treated as a corrupt checkpoint).
-    fn from_payload(value: &json::Value) -> Option<Self>
-    where
-        Self: Sized;
+/// Implementations must be *canonical*: `to_value` depends only on the
+/// artifact's value, and `from_value(&parse(&render(&a.to_value(), &|_|
+/// None))) == Some(a)` — checkpoints render floats in shortest
+/// round-trip form, so that holds bit for bit.
+pub trait Artifact: Sized {
+    /// The artifact as a JSON value tree.
+    fn to_value(&self) -> json::Value;
+    /// Rebuilds the artifact from a parsed value; `None` if the shape is
+    /// wrong (treated as a corrupt checkpoint).
+    fn from_value(value: &json::Value) -> Option<Self>;
+}
+
+/// A slice of artifacts as a JSON array.
+pub fn to_array<T: Artifact>(items: &[T]) -> json::Value {
+    json::Value::Arr(items.iter().map(Artifact::to_value).collect())
+}
+
+/// Decodes a JSON array of artifacts; `None` if it is not an array or
+/// any element fails to decode.
+pub fn from_array<T: Artifact>(value: &json::Value) -> Option<Vec<T>> {
+    value.as_arr()?.iter().map(T::from_value).collect()
+}
+
+/// An optional artifact's value; `None` leaves its key out.
+pub fn to_optional<T: Artifact>(artifact: &Option<T>) -> Option<json::Value> {
+    artifact.as_ref().map(Artifact::to_value)
+}
+
+/// Decodes the optional artifact under `key`: `Some(None)` when the key
+/// is absent, `None` when it is present but fails to decode.
+pub fn from_optional<T: Artifact>(value: &json::Value, key: &str) -> Option<Option<T>> {
+    value
+        .get(key)
+        .map_or(Some(None), |v| T::from_value(v).map(Some))
 }
 
 /// What happened to one stage: attempts made, retries burned, total
@@ -129,6 +154,29 @@ pub struct StageReport {
     /// True when a stored checkpoint was cross-checked against a fresh
     /// recompute and matched (runtime-only).
     pub verified: bool,
+}
+
+impl Artifact for StageReport {
+    fn to_value(&self) -> json::Value {
+        json::Value::obj([
+            ("stage", self.stage.as_str().into()),
+            ("attempts", self.attempts.into()),
+            ("retries", self.retries.into()),
+            ("backoff_ms", self.backoff_ms.into()),
+        ])
+    }
+
+    /// `loaded` and `verified` are runtime-only and decode as false.
+    fn from_value(value: &json::Value) -> Option<StageReport> {
+        Some(StageReport {
+            stage: value.get("stage")?.as_str()?.to_string(),
+            attempts: value.get("attempts")?.as_usize()?,
+            retries: value.get("retries")?.as_usize()?,
+            backoff_ms: value.get("backoff_ms")?.as_f64()?,
+            loaded: false,
+            verified: false,
+        })
+    }
 }
 
 /// Runs pipeline stages under a checkpoint + retry protocol.
@@ -309,28 +357,19 @@ impl StageRunner {
             .map(|d| d.join(format!("{stage}.ckpt.json")))
     }
 
-    /// Renders the checkpoint envelope. The payload is the *last* field
-    /// so its exact byte range is recoverable for checksumming, and the
-    /// checksum covers precisely those bytes.
-    fn render_envelope<T: Artifact>(
-        &self,
-        stage: &str,
-        artifact: &T,
-        report: &StageReport,
-    ) -> String {
-        let payload = artifact.to_payload();
-        let checksum = fnv1a64(payload.as_bytes());
+    /// Renders the checkpoint envelope: magic, fingerprint, checksum, the
+    /// stage's report (its retry counters persist across resume), then
+    /// the payload. The payload is the *last* field so its exact byte
+    /// range is recoverable for checksumming, and the checksum covers
+    /// precisely those bytes.
+    fn render_envelope<T: Artifact>(&self, artifact: &T, report: &StageReport) -> String {
+        let payload = json::render(&artifact.to_value(), &|_| None);
         format!(
-            "{{\"fred_checkpoint\": 1, \"stage\": \"{}\", \"fingerprint\": \"{:016x}\", \
-             \"checksum\": \"{:016x}\", \"attempts\": {}, \"retries\": {}, \"backoff_ms\": {:?}, \
-             \"payload\": {}}}",
-            json::escape(stage),
+            "{{\"fred_checkpoint\": 1, \"fingerprint\": \"{:016x}\", \"checksum\": \"{:016x}\", \
+             \"report\": {}, \"payload\": {payload}}}",
             self.fingerprint,
-            checksum,
-            report.attempts,
-            report.retries,
-            report.backoff_ms,
-            payload
+            fnv1a64(payload.as_bytes()),
+            json::render(&report.to_value(), &|_| None)
         )
     }
 
@@ -341,7 +380,7 @@ impl StageRunner {
         let Some(path) = self.checkpoint_path(stage) else {
             return;
         };
-        let envelope = self.render_envelope(stage, artifact, report);
+        let envelope = self.render_envelope(artifact, report);
         let mut bytes = envelope.clone().into_bytes();
         let site = stage_site(stage, 0);
         if self.plan.decide(
@@ -358,7 +397,8 @@ impl StageRunner {
         // Read-back verification: the committed file must parse and
         // checksum exactly. If not (truncated write), quarantine the bad
         // file and rewrite the clean envelope — no re-injection.
-        if self.validate_file(&path, stage).is_err() {
+        let valid = fs::read(&path).is_ok_and(|bytes| check_envelope(&bytes, stage).is_ok());
+        if !valid {
             self.quarantine(stage, "write failed read-back verification");
             commit_bytes(&path, envelope.as_bytes());
             self.repaired_writes += 1;
@@ -378,20 +418,16 @@ impl StageRunner {
             return None;
         }
         match self.read_validated(&path, stage) {
-            Ok((value, attempts, retries, backoff_ms)) => {
+            Ok((value, report)) => {
                 let payload = value.get("payload")?;
-                match T::from_payload(payload) {
+                match T::from_value(payload) {
                     Some(artifact) => {
                         fred_obs::counter("recover.loads", 1);
                         Some((
                             artifact,
                             StageReport {
-                                stage: stage.to_string(),
-                                attempts,
-                                retries,
-                                backoff_ms,
                                 loaded: true,
-                                verified: false,
+                                ..report
                             },
                         ))
                     }
@@ -409,14 +445,13 @@ impl StageRunner {
     }
 
     /// Full integrity pipeline over one checkpoint file: read (with
-    /// injected reload damage), structural check, envelope parse,
-    /// checksum, fingerprint. Returns the parsed envelope plus the
-    /// persisted retry counters.
+    /// injected reload damage), [`check_envelope`], fingerprint. Returns
+    /// the parsed envelope plus the persisted report.
     fn read_validated(
         &self,
         path: &Path,
         stage: &str,
-    ) -> Result<(json::Value, usize, usize, f64), &'static str> {
+    ) -> Result<(json::Value, StageReport), &'static str> {
         let mut bytes = fs::read(path).map_err(|_| "unreadable")?;
         let site = stage_site(stage, 0);
         if self
@@ -429,26 +464,10 @@ impl StageRunner {
                 .min(bytes.len() - 1);
             bytes[at] ^= 0x10;
         }
-        let text = String::from_utf8(bytes).map_err(|_| "not utf-8")?;
-        let (value, payload_bytes) = split_envelope(&text)?;
-        if value.get("fred_checkpoint").and_then(json::Value::as_usize) != Some(1) {
-            return Err("bad magic");
-        }
-        if value.get("stage").and_then(json::Value::as_str) != Some(stage) {
-            return Err("wrong stage");
-        }
-        let checksum = value
-            .get("checksum")
-            .and_then(json::Value::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or("missing checksum")?;
-        if checksum != fnv1a64(payload_bytes) {
-            return Err("checksum mismatch");
-        }
+        let (value, report) = check_envelope(&bytes, stage)?;
         let fingerprint = value
             .get("fingerprint")
-            .and_then(json::Value::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
+            .and_then(json::Value::as_hex)
             .ok_or("missing fingerprint")?;
         let forced_stale = self
             .plan
@@ -456,39 +475,7 @@ impl StageRunner {
         if fingerprint != self.fingerprint || forced_stale {
             return Err("stale fingerprint");
         }
-        let attempts = value
-            .get("attempts")
-            .and_then(json::Value::as_usize)
-            .ok_or("missing attempts")?;
-        let retries = value
-            .get("retries")
-            .and_then(json::Value::as_usize)
-            .ok_or("missing retries")?;
-        let backoff_ms = value
-            .get("backoff_ms")
-            .and_then(json::Value::as_f64)
-            .ok_or("missing backoff")?;
-        Ok((value, attempts, retries, backoff_ms))
-    }
-
-    /// Validation-only pass (read-back after a write): no injections, no
-    /// counter reads — just structure + checksum + fingerprint.
-    fn validate_file(&self, path: &Path, stage: &str) -> Result<(), &'static str> {
-        let bytes = fs::read(path).map_err(|_| "unreadable")?;
-        let text = String::from_utf8(bytes).map_err(|_| "not utf-8")?;
-        let (value, payload_bytes) = split_envelope(&text)?;
-        if value.get("stage").and_then(json::Value::as_str) != Some(stage) {
-            return Err("wrong stage");
-        }
-        let checksum = value
-            .get("checksum")
-            .and_then(json::Value::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or("missing checksum")?;
-        if checksum != fnv1a64(payload_bytes) {
-            return Err("checksum mismatch");
-        }
-        Ok(())
+        Ok((value, report))
     }
 
     /// Moves a stage's checkpoint into `quarantine/` (never deletes) and
@@ -529,6 +516,31 @@ fn commit_bytes(path: &Path, bytes: &[u8]) {
     }
 }
 
+/// Structural check of one envelope, shared by load and write read-back:
+/// UTF-8, parse, magic, the stage's report, and the payload checksum.
+fn check_envelope(bytes: &[u8], stage: &str) -> Result<(json::Value, StageReport), &'static str> {
+    let text = std::str::from_utf8(bytes).map_err(|_| "not utf-8")?;
+    let (value, payload_bytes) = split_envelope(text)?;
+    if value.get("fred_checkpoint").and_then(json::Value::as_usize) != Some(1) {
+        return Err("bad magic");
+    }
+    let report = value
+        .get("report")
+        .and_then(StageReport::from_value)
+        .ok_or("missing report")?;
+    if report.stage != stage {
+        return Err("wrong stage");
+    }
+    let checksum = value
+        .get("checksum")
+        .and_then(json::Value::as_hex)
+        .ok_or("missing checksum")?;
+    if checksum != fnv1a64(payload_bytes) {
+        return Err("checksum mismatch");
+    }
+    Ok((value, report))
+}
+
 /// Splits a checkpoint envelope into its parsed value and the exact byte
 /// range of the payload (the trailing field), which the checksum covers.
 fn split_envelope(text: &str) -> Result<(json::Value, &[u8]), &'static str> {
@@ -557,15 +569,14 @@ mod tests {
     }
 
     impl Artifact for Blob {
-        fn to_payload(&self) -> String {
-            format!(
-                "{{\"label\": \"{}\", \"score\": {:?}, \"rows\": {}}}",
-                json::escape(&self.label),
-                self.score,
-                self.rows
-            )
+        fn to_value(&self) -> json::Value {
+            json::Value::obj([
+                ("label", self.label.as_str().into()),
+                ("score", self.score.into()),
+                ("rows", self.rows.into()),
+            ])
         }
-        fn from_payload(value: &json::Value) -> Option<Blob> {
+        fn from_value(value: &json::Value) -> Option<Blob> {
             Some(Blob {
                 label: value.get("label")?.as_str()?.to_string(),
                 score: value.get("score")?.as_f64()?,
