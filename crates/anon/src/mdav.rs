@@ -14,13 +14,6 @@ use crate::anonymizer::{dist2, normalize_columns, numeric_qi_matrix, Anonymizer}
 use crate::error::Result;
 use crate::partition::Partition;
 use fred_data::{ShardPlan, Table};
-use rayon::prelude::*;
-
-/// Minimum number of active rows before a distance scan is worth
-/// fanning out to worker threads. The rayon shim keeps a persistent
-/// worker pool (no per-call thread spawn), so handoff costs a channel
-/// send + condvar wait and fan-out pays from a few thousand rows.
-const PAR_SCAN_MIN_ROWS: usize = 4 * 1024;
 
 /// The MDAV microaggregation anonymizer.
 #[derive(Debug, Clone, Default)]
@@ -89,16 +82,11 @@ impl Mdav {
             normalize_columns(&mut matrix);
         }
         let n = matrix.len();
-        let dims = matrix[0].len();
         let leaves = split_leaves(&matrix, (0..n).collect(), plan.shards(), k);
         let mut classes: Vec<Vec<usize>> = Vec::with_capacity(n / k + 1);
         for leaf in leaves {
             fred_obs::counter("mdav.leaves", 1);
-            let mut flat = Vec::with_capacity(leaf.len() * dims);
-            for &r in &leaf {
-                flat.extend_from_slice(&matrix[r]);
-            }
-            for class in pool_classes(flat, leaf.len(), dims, k) {
+            for class in pool_classes(&matrix, &leaf, k) {
                 classes.push(class.into_iter().map(|local| leaf[local]).collect());
             }
         }
@@ -170,12 +158,13 @@ impl Anonymizer for Mdav {
         "mdav"
     }
 
-    /// The optimized MDAV loop: quasi-identifiers live in one contiguous
-    /// row-major buffer, the global centroid is maintained incrementally
-    /// as clusters leave the pool, each cluster is selected with
-    /// `select_nth_unstable` (O(n) expected) instead of a full sort, and
-    /// removal is a swap-remove over a dense index set. Distance scans fan
-    /// out across threads once the active pool is large enough.
+    /// The optimized MDAV loop, on one thread: the active pool stores one
+    /// contiguous column per quasi-identifier, each distance scan fills
+    /// one reusable distance column column by column, the global centroid
+    /// is maintained incrementally as clusters leave the pool, each
+    /// cluster is picked by a bounded top-k select over the scan (which
+    /// also yields the second anchor) instead of a full sort, and removal
+    /// swap-removes every column in lockstep with a dense index set.
     ///
     /// Ties are broken by row index everywhere (farthest scans pick the
     /// lowest-index maximum, nearest selection orders by `(distance, row)`),
@@ -194,40 +183,39 @@ impl Anonymizer for Mdav {
             normalize_columns(&mut matrix);
         }
         let n = matrix.len();
-        let dims = matrix[0].len();
-        let mut flat = Vec::with_capacity(n * dims);
-        for row in &matrix {
-            flat.extend_from_slice(row);
-        }
-        drop(matrix);
-        let classes = pool_classes(flat, n, dims, k);
-        Partition::new(classes, n)
+        let rows: Vec<usize> = (0..n).collect();
+        Partition::new(pool_classes(&matrix, &rows, k), n)
     }
 }
 
-/// The optimized MDAV loop over a prepared flat point buffer: returns
-/// classes of *local* ids `0..n` (the caller maps them back to table
-/// rows when the buffer is a leaf subset).
-fn pool_classes(flat: Vec<f64>, n: usize, dims: usize, k: usize) -> Vec<Vec<usize>> {
-    let mut pool = ActivePool::new(flat, n, dims);
-    let mut scored: Vec<(f64, u32)> = Vec::with_capacity(n);
-    let mut centroid = vec![0.0f64; dims];
-    let mut classes: Vec<Vec<usize>> = Vec::with_capacity(n / k + 1);
+/// The optimized MDAV loop over the row subset `rows` (ascending) of a
+/// prepared matrix: returns classes of *local* ids `0..rows.len()` (the
+/// caller maps them back to table rows when `rows` is a leaf subset).
+fn pool_classes(matrix: &[Vec<f64>], rows: &[usize], k: usize) -> Vec<Vec<usize>> {
+    let mut pool = ActivePool::new(matrix, rows);
+    let mut scratch: Vec<(f64, u32)> = Vec::new();
+    let mut point = vec![0.0f64; pool.cols.len()];
+    let mut classes: Vec<Vec<usize>> = Vec::with_capacity(rows.len() / k + 1);
+    let mut rounds = 0;
 
     while pool.len() >= 3 * k {
-        fred_obs::counter("mdav.rounds", 1);
-        pool.centroid_into(&mut centroid);
-        let r = pool.farthest_from(&centroid);
-        let cluster_r = pool.take_nearest(r, k, &mut scored, true);
-        // `s`: the record farthest from `r` among what is left. The
-        // scored buffer still holds every pre-removal distance to `r`,
-        // so the scan is a reduce over it (skipping the rows just
-        // removed) instead of a fresh distance pass.
-        let s = pool.farthest_in_scored(&scored);
-        let cluster_s = pool.take_nearest(s, k, &mut scored, false);
+        rounds += 1;
+        pool.centroid_into(&mut point);
+        pool.scan(&point);
+        let r = pool.farthest();
+        pool.point_into(r, &mut point);
+        pool.scan(&point);
+        // `s`: the record farthest from `r` among what is left, picked
+        // by the same pass over the distances to `r` that selects `r`'s
+        // cluster.
+        let (cluster_r, s) = pool.take_nearest(k, &mut scratch);
+        pool.point_into(s, &mut point);
+        pool.scan(&point);
+        let (cluster_s, _) = pool.take_nearest(k, &mut scratch);
         classes.push(cluster_r);
         classes.push(cluster_s);
     }
+    fred_obs::counter("mdav.rounds", rounds);
 
     if pool.len() >= 2 * k {
         // Final stage: at most `3k - 1` rows remain, and with `k = 1`
@@ -236,10 +224,12 @@ fn pool_classes(flat: Vec<f64>, n: usize, dims: usize, k: usize) -> Vec<Vec<usiz
         // ulp from the reference's fresh fold) would break the wrong
         // way. A fresh ascending-order fold is O(k·dims) here and
         // bit-identical to the reference by construction.
-        pool.centroid_fresh_into(&mut centroid);
-        let r = pool.farthest_from(&centroid);
-        let cluster_r = pool.take_nearest(r, k, &mut scored, false);
-        classes.push(cluster_r);
+        pool.centroid_fresh_into(&mut point);
+        pool.scan(&point);
+        let r = pool.farthest();
+        pool.point_into(r, &mut point);
+        pool.scan(&point);
+        classes.push(pool.take_nearest(k, &mut scratch).0);
         classes.push(pool.drain_sorted());
     } else if !pool.is_empty() {
         classes.push(pool.drain_sorted());
@@ -265,7 +255,7 @@ fn reference_classes(
         let r = farthest_from_point(matrix, &remaining, &centroid);
         let cluster_r = take_nearest(matrix, &mut remaining, selected, r, k);
         // `s`: the record farthest from `r` among what is left.
-        let s = farthest_from_row(matrix, &remaining, &matrix[r]);
+        let s = farthest_from_point(matrix, &remaining, &matrix[r]);
         let cluster_s = take_nearest(matrix, &mut remaining, selected, s, k);
         classes.push(cluster_r);
         classes.push(cluster_s);
@@ -348,109 +338,70 @@ fn split_rec(
     split_rec(matrix, right, right_parts, min_leaf, out);
 }
 
-/// The dense set of rows MDAV has not yet clustered. Points are kept
-/// *compacted*: `pts[p*dims..]` is the point of `rows[p]`, and removal
-/// swap-removes both in lockstep, so every distance scan streams over
-/// contiguous memory. The per-dimension sum is maintained incrementally
-/// so the global centroid never needs a full recompute.
+/// The dense set of rows MDAV has not yet clustered, stored column-major:
+/// `cols[d][p]` is quasi-identifier `d` of `rows[p]`, and removal
+/// swap-removes every column in lockstep with `rows`, so each distance
+/// scan streams over contiguous columns. The per-dimension sum is
+/// maintained incrementally so the global centroid never needs a full
+/// recompute.
 struct ActivePool {
-    dims: usize,
-    /// Worker-thread budget for the parallel scans (cached once).
-    width: usize,
-    /// Compacted point storage, position-aligned with `rows`.
-    pts: Vec<f64>,
+    /// One column per quasi-identifier, position-aligned with `rows`.
+    cols: Vec<Vec<f64>>,
     /// Active row ids, in arbitrary order (swap-remove).
     rows: Vec<u32>,
     /// `pos[row]` = index of `row` in `rows` (u32::MAX when removed).
     pos: Vec<u32>,
     /// Per-dimension sum over the active rows.
     sum: Vec<f64>,
+    /// Squared distance of each active row to the last scanned point,
+    /// position-aligned with `rows`.
+    dist: Vec<f64>,
 }
 
-/// Largest cluster size routed through the fused scan-and-select heap;
-/// beyond this, `select_nth_unstable` over the scored buffer wins.
+/// Largest cluster size routed through the bounded worst-out heap;
+/// beyond this, `select_nth_unstable` over `(distance, row)` pairs wins.
 const TOP_K_HEAP_MAX: usize = 32;
 
-/// Bounded k-smallest tracker under the `(distance, row)` total order:
-/// a candidate enters only by beating the current worst member, so the
-/// final contents are exactly the unique k-smallest set.
-struct TopK {
-    k: usize,
-    items: Vec<(f64, u32)>,
-    /// Index of the current worst (largest) member once full.
-    worst: usize,
-}
-
-impl TopK {
-    fn new(k: usize) -> Self {
-        TopK {
-            k,
-            items: Vec::with_capacity(k),
-            worst: 0,
+/// Index of the largest member of `items` under the `(distance, row)`
+/// total order.
+fn worst(items: &[(f64, u32)]) -> usize {
+    let mut wi = 0;
+    for (i, &(d, r)) in items.iter().enumerate().skip(1) {
+        let (wd, wr) = items[wi];
+        if d > wd || (d == wd && r > wr) {
+            wi = i;
         }
     }
-
-    #[inline]
-    fn offer(&mut self, d: f64, r: u32) {
-        if self.items.len() < self.k {
-            self.items.push((d, r));
-            if self.items.len() == self.k {
-                self.find_worst();
-            }
-        } else {
-            let (wd, wr) = self.items[self.worst];
-            if d < wd || (d == wd && r < wr) {
-                self.items[self.worst] = (d, r);
-                self.find_worst();
-            }
-        }
-    }
-
-    fn find_worst(&mut self) {
-        let mut wi = 0;
-        for i in 1..self.items.len() {
-            let (d, r) = self.items[i];
-            let (wd, wr) = self.items[wi];
-            if d > wd || (d == wd && r > wr) {
-                wi = i;
-            }
-        }
-        self.worst = wi;
-    }
-
-    fn into_vec(self) -> Vec<(f64, u32)> {
-        self.items
-    }
+    wi
 }
 
 /// `(distance, row)` max under the reference tie rule: strictly greater
 /// distance wins, equal distance goes to the lower row id. The rule is a
-/// total order, so any scan order — sequential, chunked, or over a
-/// permuted buffer — produces the same winner.
+/// total order, so any scan order — sequential or over a permuted
+/// buffer — produces the same winner.
 #[inline]
 fn better(d: f64, r: u32, best_d: f64, best_r: u32) -> bool {
     d > best_d || (d == best_d && r < best_r)
 }
 
 impl ActivePool {
-    fn new(flat: Vec<f64>, n: usize, dims: usize) -> Self {
-        let mut sum = vec![0.0f64; dims];
+    fn new(matrix: &[Vec<f64>], rows: &[usize]) -> Self {
+        let cols: Vec<Vec<f64>> = (0..matrix[0].len())
+            .map(|d| rows.iter().map(|&r| matrix[r][d]).collect())
+            .collect();
         // Ascending-row fold: the first centroid matches the reference
         // implementation bit-for-bit.
-        for r in 0..n {
-            for (d, s) in sum.iter_mut().enumerate() {
-                *s += flat[r * dims + d];
-            }
-        }
+        let sum = cols
+            .iter()
+            .map(|col| col.iter().fold(0.0, |s, &v| s + v))
+            .collect();
+        let n = rows.len() as u32;
         ActivePool {
-            dims,
-            // Effective pool width (honors RAYON_NUM_THREADS) — ranges
-            // split for more workers than exist would run sequentially.
-            width: rayon::current_num_threads(),
-            pts: flat,
-            rows: (0..n as u32).collect(),
-            pos: (0..n as u32).collect(),
+            cols,
+            rows: (0..n).collect(),
+            pos: (0..n).collect(),
             sum,
+            dist: Vec::with_capacity(rows.len()),
         }
     }
 
@@ -462,11 +413,12 @@ impl ActivePool {
         self.rows.is_empty()
     }
 
-    /// The point of an *active* row (by row id, through the position map).
-    #[inline]
-    fn point(&self, row: u32) -> &[f64] {
+    /// Copies the point of an *active* row (by row id) into `out`.
+    fn point_into(&self, row: u32, out: &mut [f64]) {
         let p = self.pos[row as usize] as usize;
-        &self.pts[p * self.dims..(p + 1) * self.dims]
+        for (o, col) in out.iter_mut().zip(&self.cols) {
+            *o = col[p];
+        }
     }
 
     fn centroid_into(&self, out: &mut [f64]) {
@@ -483,9 +435,9 @@ impl ActivePool {
         sorted.sort_unstable();
         out.fill(0.0);
         for &r in &sorted {
-            let point = self.point(r);
-            for (o, &v) in out.iter_mut().zip(point) {
-                *o += v;
+            let p = self.pos[r as usize] as usize;
+            for (o, col) in out.iter_mut().zip(&self.cols) {
+                *o += col[p];
             }
         }
         let len = self.rows.len() as f64;
@@ -494,33 +446,28 @@ impl ActivePool {
         }
     }
 
-    /// Id of the active row farthest from `point` (ties to the lowest id).
-    fn farthest_from(&self, point: &[f64]) -> u32 {
-        let reduce = |lo: usize, hi: usize| -> (f64, u32) {
-            let mut best_d = -1.0;
-            let mut best = self.rows[lo];
-            for (p, chunk) in self.pts[lo * self.dims..hi * self.dims]
-                .chunks_exact(self.dims)
-                .enumerate()
-            {
-                let d = dist2(chunk, point);
-                let r = self.rows[lo + p];
-                if better(d, r, best_d, best) {
-                    best_d = d;
-                    best = r;
-                }
+    /// Fills `dist` with every active row's squared distance to `point`,
+    /// one column at a time. Each row's terms are added left to right
+    /// from the first dimension — the fold [`dist2`] performs — so the
+    /// distances are bit-identical to a row-wise scan. Keep it that way:
+    /// no fused multiply-add, no reassociated or pairwise sums.
+    fn scan(&mut self, point: &[f64]) {
+        let (first, rest) = self.cols.split_first().expect("at least one QI");
+        self.dist.clear();
+        self.dist
+            .extend(first.iter().map(|&x| (x - point[0]) * (x - point[0])));
+        for (col, &c) in rest.iter().zip(&point[1..]) {
+            for (d, &x) in self.dist.iter_mut().zip(col) {
+                *d += (x - c) * (x - c);
             }
-            (best_d, best)
-        };
-        let partials: Vec<(f64, u32)> = match self.par_ranges() {
-            Some(ranges) => ranges
-                .into_par_iter()
-                .map(|range| reduce(range.start, range.end))
-                .collect(),
-            None => vec![reduce(0, self.rows.len())],
-        };
-        let mut best = partials[0];
-        for &(d, r) in &partials[1..] {
+        }
+    }
+
+    /// Id of the active row farthest from the last scanned point (ties to
+    /// the lowest id).
+    fn farthest(&self) -> u32 {
+        let mut best = (-1.0, self.rows[0]);
+        for (&d, &r) in self.dist.iter().zip(&self.rows) {
             if better(d, r, best.0, best.1) {
                 best = (d, r);
             }
@@ -528,119 +475,78 @@ impl ActivePool {
         best.1
     }
 
-    /// Id of the not-yet-removed row with the maximal recorded distance in
-    /// `scored` (ties to the lowest id): re-uses the distances-to-`r` scan
-    /// of the preceding [`take_nearest`](Self::take_nearest) to pick the
-    /// next anchor `s` without touching the point buffer again.
-    fn farthest_in_scored(&self, scored: &[(f64, u32)]) -> u32 {
-        let mut best_d = -1.0;
-        let mut best = u32::MAX;
-        for &(d, r) in scored {
-            if self.pos[r as usize] != u32::MAX && better(d, r, best_d, best) {
-                best_d = d;
-                best = r;
-            }
-        }
-        debug_assert!(best != u32::MAX, "scored held only removed rows");
-        best
-    }
-
-    /// Removes `anchor` and its `k-1` nearest active neighbours,
-    /// returning them ordered by `(distance, row)` exactly like the
-    /// reference full-sort selection. When `keep_scored` is set, `scored`
-    /// is left holding the pre-removal `(distance, row)` pair of *every*
-    /// scanned row (the input to [`farthest_in_scored`](Self::farthest_in_scored)).
+    /// Removes the `k` active rows nearest the last scanned point — the
+    /// anchor and its `k-1` nearest neighbours — and returns them ordered
+    /// by `(distance, row)` exactly like the reference full-sort
+    /// selection, together with the farthest row left behind (ties to
+    /// the lowest id). Needs more than `k` active rows.
     ///
-    /// Selection runs through a bounded worst-out heap fused into the
-    /// distance scan for small `k` (one pass, no full materialization),
-    /// falling back to `select_nth_unstable` over the scored buffer for
-    /// large `k`. Both compute the unique k-smallest set under the
-    /// `(distance, row)` total order, so the cluster is identical.
-    fn take_nearest(
-        &mut self,
-        anchor: u32,
-        k: usize,
-        scored: &mut Vec<(f64, u32)>,
-        keep_scored: bool,
-    ) -> Vec<usize> {
-        let anchor_point = self.point(anchor).to_vec();
+    /// One pass over `dist` does both: for small `k` a bounded worst-out
+    /// heap, whose rejects and evictions are exactly the rows outside the
+    /// cluster; for large `k` a `select_nth_unstable` over `(distance,
+    /// row)` pairs in `scratch`, whose tail past `k` is that outside set.
+    /// Both compute the unique k-smallest set under that total order.
+    fn take_nearest(&mut self, k: usize, scratch: &mut Vec<(f64, u32)>) -> (Vec<usize>, u32) {
+        debug_assert!(self.rows.len() > k, "no row would be left behind");
+        let mut far = (-1.0, u32::MAX);
+        let mut keep_far = |(d, r): (f64, u32)| {
+            if better(d, r, far.0, far.1) {
+                far = (d, r);
+            }
+        };
         let cmp = |a: &(f64, u32), b: &(f64, u32)| {
             a.0.partial_cmp(&b.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.1.cmp(&b.1))
         };
-        let mut selected: Vec<(f64, u32)>;
-        if !keep_scored && k <= TOP_K_HEAP_MAX && self.rows.len() > k {
-            // Fused scan + bounded selection: track the k best seen so
-            // far; a candidate only enters if it beats the current worst.
-            let mut heap = TopK::new(k);
-            for (chunk, &r) in self.pts.chunks_exact(self.dims).zip(&self.rows) {
-                heap.offer(dist2(chunk, &anchor_point), r);
+        scratch.clear();
+        if k <= TOP_K_HEAP_MAX {
+            // The first `k` rows seed the heap; a later row enters only
+            // by beating the current worst member, which then leaves it
+            // for good, as does every row that fails to enter.
+            scratch.extend(
+                self.dist[..k]
+                    .iter()
+                    .copied()
+                    .zip(self.rows[..k].iter().copied()),
+            );
+            let mut w = worst(scratch);
+            let (mut wd, mut wr) = scratch[w];
+            for (&d, &r) in self.dist[k..].iter().zip(&self.rows[k..]) {
+                if d < wd || (d == wd && r < wr) {
+                    keep_far((wd, wr));
+                    scratch[w] = (d, r);
+                    w = worst(scratch);
+                    (wd, wr) = scratch[w];
+                } else {
+                    keep_far((d, r));
+                }
             }
-            selected = heap.into_vec();
-            selected.sort_unstable_by(cmp);
         } else {
-            scored.clear();
-            match self.par_ranges() {
-                Some(ranges) => {
-                    let parts: Vec<Vec<(f64, u32)>> = ranges
-                        .into_par_iter()
-                        .map(|range| {
-                            self.pts[range.start * self.dims..range.end * self.dims]
-                                .chunks_exact(self.dims)
-                                .enumerate()
-                                .map(|(p, chunk)| {
-                                    (dist2(chunk, &anchor_point), self.rows[range.start + p])
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                        .collect();
-                    for part in parts {
-                        scored.extend(part);
-                    }
-                }
-                None => {
-                    scored.extend(
-                        self.pts
-                            .chunks_exact(self.dims)
-                            .zip(&self.rows)
-                            .map(|(chunk, &r)| (dist2(chunk, &anchor_point), r)),
-                    );
-                }
-            }
-            if scored.len() > k {
-                scored.select_nth_unstable_by(k - 1, cmp);
-            }
-            let take = k.min(scored.len());
-            selected = scored[..take].to_vec();
-            selected.sort_unstable_by(cmp);
+            scratch.extend(self.dist.iter().copied().zip(self.rows.iter().copied()));
+            scratch.select_nth_unstable_by(k - 1, cmp);
+            scratch.drain(k..).for_each(&mut keep_far);
         }
-        let cluster: Vec<usize> = selected.iter().map(|&(_, r)| r as usize).collect();
-        for &row in cluster.iter() {
+        scratch.sort_unstable_by(cmp);
+        let cluster: Vec<usize> = scratch.iter().map(|&(_, r)| r as usize).collect();
+        for &row in &cluster {
             self.remove(row as u32);
         }
-        cluster
+        (cluster, far.1)
     }
 
     fn remove(&mut self, row: u32) {
         let p = self.pos[row as usize] as usize;
         debug_assert!(p != u32::MAX as usize, "row removed twice");
-        let last = self.rows.len() - 1;
-        // Update the incremental sum from the still-valid point slot.
-        {
-            let base = p * self.dims;
-            for (d, s) in self.sum.iter_mut().enumerate() {
-                *s -= self.pts[base + d];
-            }
+        // Swap-remove the id and every column in lockstep, updating the
+        // incremental sum with the removed coordinates.
+        for (s, col) in self.sum.iter_mut().zip(&mut self.cols) {
+            *s -= col.swap_remove(p);
         }
-        // Swap-remove the id and its point in lockstep.
         self.rows.swap_remove(p);
-        if p != last {
-            let (head, tail) = self.pts.split_at_mut(last * self.dims);
-            head[p * self.dims..(p + 1) * self.dims].copy_from_slice(&tail[..self.dims]);
+        if p < self.rows.len() {
             self.pos[self.rows[p] as usize] = p as u32;
         }
-        self.pts.truncate(last * self.dims);
         self.pos[row as usize] = u32::MAX;
     }
 
@@ -651,25 +557,11 @@ impl ActivePool {
         for &r in &rest {
             self.pos[r] = u32::MAX;
         }
-        self.pts.clear();
+        for col in &mut self.cols {
+            col.clear();
+        }
         rest.sort_unstable();
         rest
-    }
-
-    /// Position ranges for a parallel distance scan, or `None` when the
-    /// pool is too small (or the machine too narrow) for fan-out to pay.
-    fn par_ranges(&self) -> Option<Vec<std::ops::Range<usize>>> {
-        let n = self.rows.len();
-        if self.width <= 1 || n < PAR_SCAN_MIN_ROWS {
-            return None;
-        }
-        let chunk = n.div_ceil(self.width);
-        Some(
-            (0..n)
-                .step_by(chunk)
-                .map(|lo| lo..(lo + chunk).min(n))
-                .collect(),
-        )
     }
 }
 
@@ -698,10 +590,6 @@ fn farthest_from_point(matrix: &[Vec<f64>], rows: &[usize], point: &[f64]) -> us
         }
     }
     best
-}
-
-fn farthest_from_row(matrix: &[Vec<f64>], rows: &[usize], anchor: &[f64]) -> usize {
-    farthest_from_point(matrix, rows, anchor)
 }
 
 /// Removes `anchor` and its `k-1` nearest neighbours from `remaining`,
@@ -885,6 +773,54 @@ mod tests {
                 let fast = m.partition(&lt, k).unwrap();
                 let reference = m.partition_reference(&lt, k).unwrap();
                 assert_eq!(fast, reference, "linear n={n} k={k}");
+            }
+        }
+    }
+
+    /// A pool of thousands of rows, far beyond the equivalence proptest's
+    /// draws (n < 300).
+    #[test]
+    fn optimized_matches_reference_on_five_thousand_rows() {
+        let t = jittered_table(5_000);
+        let m = Mdav::new();
+        assert_eq!(
+            m.partition(&t, 5).unwrap(),
+            m.partition_reference(&t, 5).unwrap()
+        );
+    }
+
+    /// The column-by-column distance fill must reproduce `dist2`'s
+    /// left-to-right fold bit for bit, on every row and after swap-removes
+    /// have permuted the positions. Coordinates span many magnitudes, so
+    /// a reassociated, pairwise or fused sum would round differently.
+    #[test]
+    fn column_scan_is_bit_identical_to_dist2() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        for dims in 1..=5 {
+            let point = |next: &mut dyn FnMut() -> f64| -> Vec<f64> {
+                (0..dims)
+                    .map(|d| next() * 10f64.powi(3 * d as i32 - 6))
+                    .collect()
+            };
+            let matrix: Vec<Vec<f64>> = (0..300).map(|_| point(&mut next)).collect();
+            let rows: Vec<usize> = (0..matrix.len()).collect();
+            let mut pool = ActivePool::new(&matrix, &rows);
+            for removed in [7u32, 0, 299, 150] {
+                pool.remove(removed);
+            }
+            for target in [point(&mut next), matrix[42].clone(), vec![0.0; dims]] {
+                pool.scan(&target);
+                assert_eq!(pool.dist.len(), pool.len());
+                for (&d, &r) in pool.dist.iter().zip(&pool.rows) {
+                    let want = dist2(&matrix[r as usize], &target);
+                    assert_eq!(d.to_bits(), want.to_bits(), "dims={dims} row={r}");
+                }
             }
         }
     }

@@ -66,6 +66,37 @@ fn random_qi_table(n: usize, dims: usize, seed: u64) -> Table {
     Table::with_rows(schema, rows).unwrap()
 }
 
+/// Cluster sizes past the optimized MDAV's worst-out heap bound (32),
+/// where selection falls back to `select_nth_unstable`: the proptests
+/// below never draw a `k` that large.
+#[test]
+fn optimized_mdav_equals_reference_past_the_heap_bound() {
+    for (n, dims, k, seed) in [
+        (400, 3, 33, 11),
+        (500, 3, 48, 12),
+        (300, 1, 33, 13),
+        (450, 5, 48, 14),
+    ] {
+        let table = random_qi_table(n, dims, seed);
+        for mdav in [Mdav::new(), Mdav::without_normalization()] {
+            let fast = mdav.partition(&table, k).unwrap();
+            let reference = mdav.partition_reference(&table, k).unwrap();
+            assert_eq!(fast, reference, "n={n} dims={dims} k={k}");
+        }
+    }
+    use fred_suite::data::ShardPlan;
+    let table = random_qi_table(800, 3, 15);
+    let mdav = Mdav::new();
+    for shards in [2, 3] {
+        let plan = ShardPlan::new(shards, 0x33);
+        let fast = mdav.partition_hierarchical(&table, 33, &plan).unwrap();
+        let reference = mdav
+            .partition_hierarchical_reference(&table, 33, &plan)
+            .unwrap();
+        assert_eq!(fast, reference, "hierarchical k=33 shards={shards}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
